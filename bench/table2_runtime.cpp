@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "core/exact.hpp"
@@ -44,31 +45,9 @@ csa::TideInstance random_instance(std::size_t keys, std::size_t stops,
   return inst;
 }
 
-void BM_CsaPlanner(benchmark::State& state) {
-  const auto stops = static_cast<std::size_t>(state.range(0));
-  const csa::TideInstance inst = random_instance(10, stops, 42);
-  const csa::CsaPlanner planner;
-  Rng rng(1);
-  double utility = 0.0;
-  std::size_t scheduled = 0;
-  for (auto _ : state) {
-    const csa::Plan plan = planner.plan(inst, rng);
-    benchmark::DoNotOptimize(plan.utility);
-    utility = plan.utility;
-    scheduled = plan.visits.size();
-  }
-  state.counters["utility"] = utility;
-  state.counters["visits"] = double(scheduled);
-}
-BENCHMARK(BM_CsaPlanner)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
-    ->Arg(800)->Arg(1600)->Unit(benchmark::kMillisecond);
-
-// Fleet-level scalability: the cooperative planner (Voronoi seeding, EDF key
-// assignment, per-cell CELF fill, spill auction) over 1/2/4 chargers sharing
-// one stop pool.  Uses plan_into on arena state, like the replan loop does.
-void BM_FleetPlanner(benchmark::State& state) {
-  const auto chargers = static_cast<std::size_t>(state.range(0));
-  const auto stops = static_cast<std::size_t>(state.range(1));
+/// table2's fleet pool: `chargers` depots, then 10 keys + `stops` utility
+/// stops (the same draws as random_instance, chargers first).
+csa::FleetInstance fleet_instance(std::size_t chargers, std::size_t stops) {
   Rng gen(42);
   csa::FleetInstance inst;
   for (std::size_t m = 0; m < chargers; ++m) {
@@ -90,22 +69,123 @@ void BM_FleetPlanner(benchmark::State& state) {
     stop.utility = key ? 0.0 : gen.uniform(100.0, 8'000.0);
     inst.stops.push_back(stop);
   }
+  return inst;
+}
+
+std::size_t visit_count(const csa::FleetPlan& plan) {
+  std::size_t visits = 0;
+  for (const csa::Plan& p : plan.plans) visits += p.visits.size();
+  return visits;
+}
+
+// Counters are read from the last timed plan after the loop, and only after
+// they match a plan recomputed outside timing by a fresh planner on a fresh
+// copy of the instance; a mismatch fails the row instead of reporting it.
+void report_plan(benchmark::State& state, const csa::Plan& plan,
+                 const csa::TideInstance& instance) {
+  const csa::TideInstance copy = instance;
+  Rng rng(1);
+  const csa::Plan check = csa::CsaPlanner().plan(copy, rng);
+  if (plan.utility != check.utility ||
+      plan.visits.size() != check.visits.size()) {
+    state.SkipWithError("plan counters differ from an untimed replan");
+    return;
+  }
+  state.counters["utility"] = plan.utility;
+  state.counters["visits"] = double(plan.visits.size());
+}
+
+void report_plan(benchmark::State& state, const csa::FleetPlan& plan,
+                 const csa::FleetInstance& instance) {
+  const csa::FleetPlan check = csa::CooperativeFleetPlanner().plan(instance);
+  if (plan.utility != check.utility ||
+      visit_count(plan) != visit_count(check)) {
+    state.SkipWithError("plan counters differ from an untimed replan");
+    return;
+  }
+  state.counters["utility"] = plan.utility;
+  state.counters["visits"] = double(visit_count(plan));
+}
+
+// Warm rows: one planner and one instance across iterations, so after the
+// first iteration the travel-matrix rows and the planner arenas are reused.
+void BM_CsaPlanner(benchmark::State& state) {
+  const auto stops = static_cast<std::size_t>(state.range(0));
+  const csa::TideInstance inst = random_instance(10, stops, 42);
+  const csa::CsaPlanner planner;
+  Rng rng(1);
+  csa::Plan plan;
+  for (auto _ : state) {
+    plan = planner.plan(inst, rng);
+    benchmark::DoNotOptimize(plan);
+  }
+  report_plan(state, plan, inst);
+}
+BENCHMARK(BM_CsaPlanner)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->Arg(800)->Arg(1600)->Unit(benchmark::kMillisecond);
+
+// Fleet-level scalability: the cooperative planner (Voronoi seeding, EDF key
+// assignment, per-cell CELF fill, spill auction) over 1/2/4 chargers sharing
+// one stop pool.  Uses plan_into on arena state, like the replan loop does.
+void BM_FleetPlanner(benchmark::State& state) {
+  const csa::FleetInstance inst =
+      fleet_instance(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
   const csa::CooperativeFleetPlanner planner;
   csa::FleetPlan plan;
-  double utility = 0.0;
-  std::size_t scheduled = 0;
   for (auto _ : state) {
     planner.plan_into(inst, plan);
-    benchmark::DoNotOptimize(plan.utility);
-    utility = plan.utility;
-    scheduled = 0;
-    for (const csa::Plan& p : plan.plans) scheduled += p.visits.size();
+    benchmark::DoNotOptimize(plan);
   }
-  state.counters["utility"] = utility;
-  state.counters["visits"] = double(scheduled);
+  report_plan(state, plan, inst);
 }
 BENCHMARK(BM_FleetPlanner)
     ->ArgsProduct({{1, 2, 4}, {400, 800, 1600}})
+    ->Unit(benchmark::kMillisecond);
+
+// Cold rows: every iteration plans a never-planned copy of the instance with
+// a fresh planner, so travel-matrix rows and planner arenas are built inside
+// the timing, and freed inside it too.  The copy is made with the timer
+// paused.
+void BM_CsaPlannerCold(benchmark::State& state) {
+  const csa::TideInstance pristine =
+      random_instance(10, static_cast<std::size_t>(state.range(0)), 42);
+  csa::Plan plan;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto inst = std::make_unique<csa::TideInstance>(pristine);
+    state.ResumeTiming();
+    auto planner = std::make_unique<csa::CsaPlanner>();
+    Rng rng(1);
+    plan = planner->plan(*inst, rng);
+    planner.reset();
+    inst.reset();
+    benchmark::DoNotOptimize(plan);
+  }
+  report_plan(state, plan, pristine);
+}
+BENCHMARK(BM_CsaPlannerCold)->Arg(400)->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FleetPlannerCold(benchmark::State& state) {
+  const csa::FleetInstance pristine =
+      fleet_instance(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
+  csa::FleetPlan plan;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto inst = std::make_unique<csa::FleetInstance>(pristine);
+    state.ResumeTiming();
+    auto planner = std::make_unique<csa::CooperativeFleetPlanner>();
+    plan = planner->plan(*inst);
+    planner.reset();
+    inst.reset();
+    benchmark::DoNotOptimize(plan);
+  }
+  report_plan(state, plan, pristine);
+}
+BENCHMARK(BM_FleetPlannerCold)
+    ->ArgsProduct({{1, 4}, {1600}})
     ->Unit(benchmark::kMillisecond);
 
 // Microbenchmark of the planner's hot primitive: one best_insertion scan

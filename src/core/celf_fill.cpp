@@ -12,8 +12,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Candidate-pool size from which the batched position-major rescore pays
-/// for itself.  Below it the travel matrix is small enough to stay
-/// cache-resident and the plain lazy gathers win.  A work schedule only —
+/// for itself.  Below it the route rows' candidate cells are few enough to
+/// stay cache-resident and the plain lazy gathers win.  A work schedule only —
 /// selection (and the hit/miss tallies) are identical on both paths.
 constexpr std::size_t kBatchMin = 64;
 
@@ -185,9 +185,8 @@ void CelfFill::init_batch(const TideInstance& instance,
     service_[ci] = 0.0;
     stop_[ci] = 0;
   }
-  // Row-major fill streams each route stop's matrix row once; the mirror
-  // cells row(order[pos])[stop] and row(stop)[order[pos]] are written from
-  // the same computed value, so rows are exact copies.
+  // Row-major fill gathers each route stop's matrix row once: the same
+  // cells RouteState::best_insertion reads, so lanes are exact copies.
   for (std::size_t pos = 0; pos < n; ++pos) {
     const Seconds* const row = tt.row(order[pos]);
     Seconds* const out = legs_t_.data() + pos * stride_;

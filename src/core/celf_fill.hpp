@@ -16,13 +16,15 @@
 //     loops over route positions on the outside and candidates on the
 //     inside: per position it broadcasts the route-side scalars (previous
 //     departure, downstream arrival, slack, waitsum) and streams contiguous
-//     per-candidate lanes — transposed leg rows legs_t[pos][ci] ==
-//     row(stop_ci)[order[pos]], hoisted window/service fields, and one
+//     per-candidate lanes — leg rows legs_t[pos][ci] ==
+//     row(order[pos])[stop_ci], hoisted window/service fields, and one
 //     running best-delta accumulator.  Every inner statement is a
 //     straight-line blend/min, so the compiler vectorizes it.  Each
 //     committed insertion shifts the row block one slot (one contiguous
-//     memmove) and writes one new row streamed from the inserted stop's
-//     matrix row (symmetry: row(stop)[new] == row(new)[stop]).
+//     memmove) and writes one new row gathered from the inserted stop's
+//     matrix row.  Like RouteState, the engine reads the matrix rows of
+//     route stops only, so the lazily filled matrix never computes a row
+//     for a candidate that stays off the route.
 //
 // The batch pass evaluates try_insert's exact arithmetic expression (lanes
 // hold exact copies of matrix cells), so the per-candidate minimum delta is

@@ -344,8 +344,10 @@ void AttackAgent::build_instance(TideInstance& instance) const {
 
 void AttackAgent::prime_travel_matrix(TideInstance& instance) const {
   // memo_hits_/memo_misses_ are plain member tallies flushed once by the
-  // destructor: the memo lambda runs O(stops²) per replan, far too hot for
-  // a registry write per lookup.
+  // destructor: the memo lambda runs once per cell of every matrix row the
+  // plan fills (the rows of route stops), far too hot for a registry write
+  // per lookup.  The matrix keeps the lambda and calls it lazily, during
+  // this replan's plan.
   if (memo_topology_version_ != world_.topology_version()) {
     // Mobility moved nodes since the memo was filled: every cached pair
     // distance is stale.

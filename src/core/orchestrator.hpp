@@ -168,8 +168,8 @@ class AttackAgent {
   /// into `instance`, reusing its stop storage.
   void build_instance(TideInstance& instance) const;
   /// Installs the instance's travel matrix — the agent-owned matrix arena
-  /// refilled in place — reusing node-pair distances memoized across this
-  /// agent's replans.
+  /// retargeted in place — whose rows, as the plan fills them, reuse
+  /// node-pair distances memoized across this agent's replans.
   void prime_travel_matrix(TideInstance& instance) const;
   /// Replans and engages the next leg (idle vehicles only).
   void replan();
@@ -198,8 +198,8 @@ class AttackAgent {
   std::unordered_set<net::NodeId> spoof_killed_;
   /// Node-pair distances memoized across replans: consecutive TIDE
   /// snapshots overlap heavily in stops (node positions only move on
-  /// mobility epochs), so the travel matrix of each instance is primed from
-  /// here instead of recomputing sqrt per pair.  Keyed by packed
+  /// mobility epochs), so the travel-matrix rows of each instance are filled
+  /// from here instead of recomputing sqrt per pair.  Keyed by packed
   /// (min id, max id); invalidated wholesale whenever the world's topology
   /// version moves (a mobility epoch changed positions).
   mutable std::unordered_map<std::uint64_t, Meters> stop_pair_distance_;

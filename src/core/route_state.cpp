@@ -41,7 +41,7 @@ std::optional<Seconds> RouteState::try_insert(std::size_t stop,
 
   const Seconds prev_depart = pos == 0 ? inst_->start_time : depart_[pos - 1];
   const Seconds leg_in =
-      pos == 0 ? tt_->from_start(stop) : tt_->between(order_[pos - 1], stop);
+      pos == 0 ? tt_->from_start(stop) : tt_->row(order_[pos - 1])[stop];
   const Seconds arrival = prev_depart + leg_in;
   const Seconds start = std::max(arrival, s.window_open);
   if (start > s.window_close + kWindowEpsilon) return std::nullopt;
@@ -51,8 +51,7 @@ std::optional<Seconds> RouteState::try_insert(std::size_t stop,
 
   // Arrival delay imposed on the first downstream stop (>= 0 up to rounding
   // by the triangle inequality).  Feasible iff the tail can absorb it.
-  const Seconds delay =
-      depart + tt_->between(stop, order_[pos]) - arrival_[pos];
+  const Seconds delay = depart + tt_->row(order_[pos])[stop] - arrival_[pos];
   if (delay > slack_[pos]) return std::nullopt;
 
   // Waiting along the tail soaks up the delay; whatever survives the suffix
@@ -66,15 +65,16 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
     std::size_t stop) const {
   // Flattened position scan: one pass with try_insert's exact arithmetic,
   // but the per-position invariants hoisted out of the loop — the stop's
-  // window/service fields, its travel-matrix row (between(i, stop) ==
-  // row(stop)[i] by symmetry), and a running previous-departure instead of
-  // re-branching on pos == 0.  Every candidate delta is >= 0 (appending
-  // never shortens the route; interior deltas are clamped residuals), so a
-  // delta of exactly 0.0 cannot be beaten and, with the first-strict-min
-  // tie-break, cannot even be tied away from — scan over.
+  // window/service fields, a running previous-departure instead of
+  // re-branching on pos == 0, and the leg into position pos + 1, which is
+  // the leg out of position pos carried over.  Legs are read from the rows
+  // of route stops (row(order_[pos])[stop]), so a candidate's own row is
+  // never filled.  Every candidate delta is >= 0 (appending never shortens
+  // the route; interior deltas are clamped residuals), so a delta of exactly
+  // 0.0 cannot be beaten and, with the first-strict-min tie-break, cannot
+  // even be tied away from — scan over.
   const Stop& s = inst_->stops[stop];
   const std::size_t n = order_.size();
-  const Seconds* const row = tt_->row(stop);
   const Seconds open = s.window_open;
   const Seconds close_eps = s.window_close + kWindowEpsilon;
   const Seconds service = s.service_time;
@@ -91,9 +91,9 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
   std::size_t best_pos = n + 1;
   Seconds best_delta = kInfSlack;
   Seconds prev_depart = inst_->start_time;
+  Seconds leg_in = tt_->from_start(stop);
   for (std::size_t pos = 0; pos <= pos_end; ++pos) {
-    const Seconds leg_in = pos == 0 ? tt_->from_start(stop)
-                                    : row[order_[pos - 1]];
+    const Seconds leg_out = pos < n ? tt_->row(order_[pos])[stop] : 0.0;
     const Seconds arrival = prev_depart + leg_in;
     const Seconds start = std::max(arrival, open);
     if (start <= close_eps) {
@@ -105,8 +105,7 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
         }
         break;  // last position either way
       }
-      const Seconds delay =
-          start + service + row[order_[pos]] - arrival_[pos];
+      const Seconds delay = start + service + leg_out - arrival_[pos];
       if (delay <= slack_[pos]) {
         const Seconds residual = delay - waitsum_[pos];
         const Seconds delta = residual > kWindowEpsilon ? residual : 0.0;
@@ -118,6 +117,7 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
       }
     }
     if (pos < n) prev_depart = depart_[pos];
+    leg_in = leg_out;
   }
   if (best_pos > n) return std::nullopt;
   return std::make_pair(best_pos, best_delta);
@@ -153,7 +153,7 @@ void RouteState::rebuild() {
   for (std::size_t k = 0; k < n; ++k) {
     const Stop& s = inst_->stops[order_[k]];
     const Seconds leg = k == 0 ? tt_->from_start(order_[0])
-                               : tt_->between(order_[k - 1], order_[k]);
+                               : tt_->row(order_[k - 1])[order_[k]];
     arrival_[k] = clock + leg;
     start_[k] = std::max(arrival_[k], s.window_open);
     WRSN_ASSERT(start_[k] <= s.window_close + kWindowEpsilon);

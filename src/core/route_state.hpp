@@ -26,8 +26,11 @@
 // plan-equivalence property test (tests/property_test.cpp) which pins this
 // implementation to the retained reference in core/reference_planner.hpp.
 //
-// All travel times come from the instance's cached TravelMatrix, so the
-// inner loops perform no sqrt at all.
+// All travel times come from the instance's TravelMatrix and are read out
+// of the rows of route stops, row(order_[pos])[stop], never out of the
+// candidate's own row.  The lazily filled matrix therefore computes rows
+// only for stops that join the route (R rows of S cells per plan, not S^2),
+// and the inner loops perform no sqrt once those rows exist.
 #pragma once
 
 #include <cstdint>

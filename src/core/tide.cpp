@@ -26,55 +26,57 @@ TravelMatrix TravelMatrix::build(const TideInstance& instance,
 void TravelMatrix::rebuild(const TideInstance& instance,
                            const PairDistance& pair_distance) {
   n_ = instance.stops.size();
+  stops_ = instance.stops.data();
+  speed_ = instance.speed;
+  pair_distance_ = pair_distance;
   start_row_.resize(n_);
-  cell_.assign(n_ * n_, 0.0);
   for (std::size_t i = 0; i < n_; ++i) {
     start_row_[i] =
-        geom::distance(instance.start_position, instance.stops[i].position) /
-        instance.speed;
+        geom::distance(instance.start_position, stops_[i].position) / speed_;
   }
-  // Tile size: a 64x64 double block (32 KiB) plus its transpose fit in L1/L2
-  // together, so the mirrored cell_[j * n_ + i] writes land in a resident
-  // block instead of touching a fresh cache line per write once n_ is large.
-  constexpr std::size_t kTile = 64;
-  for (std::size_t i0 = 0; i0 < n_; i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, n_);
-    for (std::size_t j0 = i0; j0 < n_; j0 += kTile) {
-      const std::size_t j1 = std::min(j0 + kTile, n_);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const Stop& a = instance.stops[i];
-        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
-          const Stop& b = instance.stops[j];
-          const Meters d = pair_distance
-                               ? pair_distance(a, b)
-                               : geom::distance(a.position, b.position);
-          const Seconds t = d / instance.speed;
-          cell_[i * n_ + j] = t;
-          cell_[j * n_ + i] = t;
-        }
-      }
+  rows_.assign(n_, nullptr);
+  pool_used_ = 0;
+}
+
+const Seconds* TravelMatrix::fill_row(std::size_t i) const {
+  if (pool_used_ == pool_.size()) pool_.emplace_back();
+  std::vector<Seconds>& row = pool_[pool_used_++];
+  row.resize(n_);
+  const Stop& a = stops_[i];
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (const Seconds* filled = rows_[j]) {
+      row[j] = filled[i];  // the pair's value, computed from the other end
+      continue;
     }
+    const Meters d = j == i          ? 0.0
+                     : pair_distance_ ? pair_distance_(a, stops_[j])
+                                      : geom::distance(a.position,
+                                                       stops_[j].position);
+    row[j] = d / speed_;
   }
+  rows_[i] = row.data();
+  return row.data();
 }
 
 const TravelMatrix& TideInstance::travel_matrix() const {
-  if (!matrix_) {
-    matrix_ = std::make_shared<const TravelMatrix>(TravelMatrix::build(*this));
+  if (!matrix_.matrix) {
+    matrix_.matrix =
+        std::make_shared<const TravelMatrix>(TravelMatrix::build(*this));
   }
-  return *matrix_;
+  WRSN_REQUIRE(matrix_.matrix->covers(stops),
+               "travel matrix does not cover the instance stops");
+  return *matrix_.matrix;
 }
 
 void TideInstance::set_travel_matrix(TravelMatrix matrix) {
-  WRSN_REQUIRE(matrix.size() == stops.size(),
-               "travel matrix does not cover the instance stops");
-  matrix_ = std::make_shared<const TravelMatrix>(std::move(matrix));
+  set_travel_matrix(std::make_shared<const TravelMatrix>(std::move(matrix)));
 }
 
 void TideInstance::set_travel_matrix(std::shared_ptr<const TravelMatrix> matrix) {
   WRSN_REQUIRE(matrix != nullptr, "travel matrix must not be null");
-  WRSN_REQUIRE(matrix->size() == stops.size(),
+  WRSN_REQUIRE(matrix->covers(stops),
                "travel matrix does not cover the instance stops");
-  matrix_ = std::move(matrix);
+  matrix_.matrix = std::move(matrix);
 }
 
 void TideInstance::validate() const {

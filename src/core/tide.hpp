@@ -43,56 +43,84 @@ struct Stop {
   bool is_key = false;
 };
 
-/// Dense symmetric travel-time matrix over an instance's stops plus a row
-/// for the charger's start position.  Built once per instance (lazily on the
-/// planner's first use) so the planners' inner loops never recompute the
-/// sqrt behind geom::distance.  Values are bit-identical to
-/// TideInstance::travel_time on the same endpoints: each pair's distance is
-/// computed once and mirrored (hypot is sign-symmetric), then divided by the
-/// instance speed with the same expression.
+/// Travel times over an instance's stops plus the charger's start position,
+/// filled row by row on demand.  The start row is computed eagerly; stop
+/// `i`'s row (its travel time to every stop) is computed the first time
+/// row(i) asks for it.  A TIDE plan only reads travel times out of stops
+/// that are, or are about to be, on the route, so a plan over S stops and a
+/// route of R stops pays at most R*S distances instead of the S^2/2 of a
+/// dense fill.  A new row copies the cells it shares with rows filled
+/// before it, so each pair's distance is still computed once.
+///
+/// Values are bit-identical to TideInstance::travel_time on the same
+/// endpoints: every cell is `distance / speed` with the instance speed, and
+/// row(i)[j] == row(j)[i] because hypot is sign-symmetric.
+///
+/// Rows live in pooled storage: a row pointer stays valid until the next
+/// rebuild(), and rebuild() reuses the pool, so refilling for a previously
+/// seen size allocates nothing.  Reading a row may fill it, so a matrix (and
+/// an instance that owns one) belongs to one thread at a time.  The matrix
+/// reads its stops through the instance's stop storage: it is valid while
+/// that storage is unchanged (TideInstance::travel_matrix checks coverage).
 class TravelMatrix {
  public:
   /// Supplies the straight-line distance for a stop pair; the orchestrator
   /// injects a memoized version so node-pair distances survive across the
-  /// receding-horizon replans of overlapping stop sets.
+  /// receding-horizon replans of overlapping stop sets.  Called when a row
+  /// is filled, so it must outlive the matrix's rows.
   using PairDistance = std::function<Meters(const Stop&, const Stop&)>;
 
   TravelMatrix() = default;
-  /// Builds from instance geometry; `pair_distance` (optional) overrides how
+  /// Move-only: row pointers point into this matrix's pool.
+  TravelMatrix(TravelMatrix&&) noexcept = default;
+  TravelMatrix& operator=(TravelMatrix&&) noexcept = default;
+  TravelMatrix(const TravelMatrix&) = delete;
+  TravelMatrix& operator=(const TravelMatrix&) = delete;
+
+  /// A matrix over `instance`; `pair_distance` (optional) overrides how
   /// stop-pair distances are obtained.  The start row is always computed
   /// fresh (the charger moves between replans).
   static TravelMatrix build(const TideInstance& instance,
                             const PairDistance& pair_distance = nullptr);
 
-  /// In-place variant of build(): refills this matrix for `instance`,
-  /// reusing the existing storage (allocation-free once capacity covers the
-  /// stop count).  The fill is cache-blocked: the upper triangle is walked
-  /// in square tiles so the mirrored column writes stay inside one resident
-  /// block instead of striding the full row length per write.  Cell values
-  /// are bit-identical to build()'s for any fill order (each is a pure
-  /// per-pair function).
+  /// In-place variant of build(): retargets this matrix at `instance`,
+  /// forgetting every row and keeping the row pool.
   void rebuild(const TideInstance& instance,
                const PairDistance& pair_distance = nullptr);
 
   std::size_t size() const { return n_; }
+  /// True when this matrix was built over this very stop storage.
+  bool covers(const std::vector<Stop>& stops) const {
+    return n_ == stops.size() && stops_ == stops.data();
+  }
   /// Travel time from the instance start position to stop `i`.
   Seconds from_start(std::size_t i) const { return start_row_[i]; }
-  /// Travel time between stops `i` and `j` (symmetric).
-  Seconds between(std::size_t i, std::size_t j) const {
-    return cell_[i * n_ + j];
+  /// Travel time between stops `i` and `j`; fills row `i` if needed.
+  Seconds between(std::size_t i, std::size_t j) const { return row(i)[j]; }
+  /// Row `i` as a flat lane, row(i)[j] == between(i, j), filled on first
+  /// use.  Planners read rows of route stops only.
+  const Seconds* row(std::size_t i) const {
+    const Seconds* r = rows_[i];
+    return r != nullptr ? r : fill_row(i);
   }
-  /// Row `i` as a flat lane: row(i)[j] == between(i, j).  The planners hoist
-  /// a candidate stop's row out of their position scans so the inner loop
-  /// indexes one contiguous array.
-  const Seconds* row(std::size_t i) const { return cell_.data() + i * n_; }
-  /// The whole start-leg lane (from_start(i) == start_row()[i]); lets the
-  /// batched insertion rescore index it like a matrix row.
-  const Seconds* start_row() const { return start_row_.data(); }
+  /// Rows filled since the last rebuild().
+  std::size_t rows_filled() const { return pool_used_; }
 
  private:
+  const Seconds* fill_row(std::size_t i) const;
+
   std::size_t n_ = 0;
+  const Stop* stops_ = nullptr;
+  MetersPerSecond speed_ = 0.0;
+  PairDistance pair_distance_;
   std::vector<Seconds> start_row_;
-  std::vector<Seconds> cell_;  ///< n_ x n_, row-major, symmetric
+  /// Per stop, its row in the pool, or nullptr until filled.
+  mutable std::vector<const Seconds*> rows_;
+  /// Row storage.  The first pool_used_ entries hold this build's rows.
+  /// Growing the pool moves the row vectors but not their buffers, so the
+  /// pointers in rows_ stay valid.
+  mutable std::vector<std::vector<Seconds>> pool_;
+  mutable std::size_t pool_used_ = 0;
 };
 
 /// A static TIDE planning problem.
@@ -106,22 +134,38 @@ struct TideInstance {
   /// Travel time between two stop positions at the instance speed.
   Seconds travel_time(geom::Vec2 from, geom::Vec2 to) const;
   /// The cached travel-time matrix, built on first call (planners call this
-  /// once per plan).  Lazy init is NOT thread-safe; every runner thread owns
-  /// its instances, which is the repo-wide convention.
+  /// once per plan).  Throws PreconditionError when the cached matrix no
+  /// longer covers `stops` (stops were added or removed after it was
+  /// built).  Not thread-safe: see TravelMatrix.
   const TravelMatrix& travel_matrix() const;
-  /// Installs a pre-built matrix (the orchestrator primes it from its
-  /// cross-replan node-pair distance cache).  Must cover `stops`.
+  /// Installs a pre-built matrix.  Must cover `stops`.
   void set_travel_matrix(TravelMatrix matrix);
   /// Shares an externally owned matrix without copying it — the zero-alloc
   /// replan path: the caller rebuild()s its arena matrix in place and
   /// re-installs the same shared_ptr (a refcount bump, no allocation).
+  /// Must cover `stops`.
   void set_travel_matrix(std::shared_ptr<const TravelMatrix> matrix);
   /// Throws ConfigError on inconsistent data (closed-before-open windows,
   /// non-positive speed, negative service times).
   void validate() const;
 
  private:
-  mutable std::shared_ptr<const TravelMatrix> matrix_;
+  /// The matrix slot.  A copy of an instance starts without a matrix: the
+  /// matrix reads the original's stop storage and fills rows on read, so a
+  /// copy must neither depend on the original nor share its matrix across
+  /// threads.  A move keeps the matrix (the stop storage moves with it).
+  struct MatrixSlot {
+    std::shared_ptr<const TravelMatrix> matrix;
+    MatrixSlot() = default;
+    MatrixSlot(const MatrixSlot&) {}
+    MatrixSlot& operator=(const MatrixSlot&) {
+      matrix.reset();
+      return *this;
+    }
+    MatrixSlot(MatrixSlot&&) noexcept = default;
+    MatrixSlot& operator=(MatrixSlot&&) noexcept = default;
+  };
+  mutable MatrixSlot matrix_;
 };
 
 /// Feasibility tolerance on window-close comparisons [s]; shared by the

@@ -212,6 +212,172 @@ TEST(TravelMatrix, SetRejectsWrongSize) {
                PreconditionError);
 }
 
+// A table2-style instance: `count` stops with distinct node ids on a 400 m
+// square, wide windows, every stop a utility stop except the first `keys`.
+TideInstance random_pool(Rng& gen, std::size_t keys, std::size_t count) {
+  TideInstance inst;
+  inst.start_position = {gen.uniform(-200.0, 200.0),
+                         gen.uniform(-200.0, 200.0)};
+  inst.speed = 3.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    Stop s;
+    s.node = static_cast<net::NodeId>(i);
+    s.position = {gen.uniform(-200.0, 200.0), gen.uniform(-200.0, 200.0)};
+    s.window_open = gen.uniform(0.0, 20'000.0);
+    s.window_close = s.window_open + gen.uniform(3'600.0, 14'400.0);
+    s.service_time = gen.uniform(600.0, 1'800.0);
+    s.is_key = i < keys;
+    s.utility = s.is_key ? 0.0 : gen.uniform(100.0, 8'000.0);
+    inst.stops.push_back(s);
+  }
+  return inst;
+}
+
+// Every cell of every row and the start row equal travel_time bit for bit.
+void expect_matrix_matches(const TravelMatrix& m, const TideInstance& inst) {
+  ASSERT_EQ(m.size(), inst.stops.size());
+  for (std::size_t i = 0; i < inst.stops.size(); ++i) {
+    ASSERT_EQ(m.from_start(i), inst.travel_time(inst.start_position,
+                                                inst.stops[i].position));
+    const Seconds* row = m.row(i);
+    for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+      ASSERT_EQ(row[j], inst.travel_time(inst.stops[i].position,
+                                         inst.stops[j].position))
+          << i << "," << j;
+    }
+  }
+}
+
+// Rows fill on demand, one at a time, in whatever order the planner asks
+// for them; each equals travel_time bit for bit with and without a
+// PairDistance hook.  The hook runs once per pair of distinct stops: a row
+// copies the cells it shares with rows filled before it.
+TEST(TravelMatrix, LazyRowsInRandomOrderMatchTravelTime) {
+  Rng gen(23);
+  TideInstance inst = random_pool(gen, 4, 90);
+  std::vector<std::size_t> order(inst.stops.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::size_t hook_calls = 0;
+  const TravelMatrix::PairDistance hook = [&](const Stop& a, const Stop& b) {
+    ++hook_calls;
+    return geom::distance(a.position, b.position);
+  };
+  for (const bool with_hook : {false, true}) {
+    gen.shuffle(order);
+    hook_calls = 0;
+    const TravelMatrix m =
+        TravelMatrix::build(inst, with_hook ? hook : nullptr);
+    EXPECT_EQ(m.rows_filled(), 0u);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
+      const Seconds* row = m.row(i);
+      EXPECT_EQ(m.rows_filled(), k + 1);
+      EXPECT_EQ(m.row(i), row);  // a second read does not refill
+      for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+        ASSERT_EQ(row[j], inst.travel_time(inst.stops[i].position,
+                                           inst.stops[j].position))
+            << (with_hook ? "hook " : "plain ") << i << "," << j;
+      }
+    }
+    EXPECT_EQ(hook_calls,
+              with_hook ? order.size() * (order.size() - 1) / 2 : 0u);
+    for (std::size_t i = 0; i < inst.stops.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        ASSERT_EQ(m.between(i, j), m.between(j, i));
+      }
+    }
+  }
+}
+
+// A row pointer handed out early stays valid (and unchanged) while the pool
+// grows to hold every other row.
+TEST(TravelMatrix, RowPointerStaysValidAsMoreRowsFill) {
+  Rng gen(29);
+  TideInstance inst = random_pool(gen, 0, 300);
+  const TravelMatrix& m = inst.travel_matrix();
+  const Seconds* early = m.row(7);
+  const std::vector<Seconds> copy(early, early + inst.stops.size());
+  for (std::size_t i = 0; i < inst.stops.size(); ++i) m.row(i);
+  EXPECT_EQ(m.rows_filled(), inst.stops.size());
+  EXPECT_EQ(m.row(7), early);
+  for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+    ASSERT_EQ(early[j], copy[j]);
+  }
+}
+
+// rebuild() forgets every row: shrinking and then growing the instance
+// leaves no row of an earlier instance behind.
+TEST(TravelMatrix, RebuildResetsEveryRow) {
+  Rng gen(31);
+  const TideInstance big = random_pool(gen, 2, 60);
+  const TideInstance small = random_pool(gen, 2, 12);
+  const TideInstance bigger = random_pool(gen, 2, 140);
+  TravelMatrix m;
+  m.rebuild(big);
+  expect_matrix_matches(m, big);
+  m.rebuild(small);
+  EXPECT_EQ(m.rows_filled(), 0u);
+  expect_matrix_matches(m, small);
+  m.rebuild(bigger);
+  EXPECT_EQ(m.rows_filled(), 0u);
+  expect_matrix_matches(m, bigger);
+}
+
+// A plan fills the rows of the stops on its route and no others.
+TEST(TravelMatrix, CsaPlanFillsOnlyRouteRows) {
+  Rng gen(37);
+  const TideInstance inst = random_pool(gen, 10, 410);
+  Rng rng(1);
+  const Plan plan = CsaPlanner().plan(inst, rng);
+  ASSERT_GT(plan.visits.size(), 1u);
+  const TravelMatrix& m = inst.travel_matrix();
+  EXPECT_GE(m.rows_filled(), plan.visits.size() - 1);
+  EXPECT_LE(m.rows_filled(), plan.visits.size());
+}
+
+// Adding a stop after the matrix was built is caught instead of read out of
+// bounds; the planners fail with the same precondition.
+TEST(TravelMatrix, StaleCacheIsRejected) {
+  Rng gen(41);
+  TideInstance inst = random_pool(gen, 10, 210);
+  inst.travel_matrix();
+  inst.stops.push_back(inst.stops.back());
+  EXPECT_THROW(inst.travel_matrix(), PreconditionError);
+  Rng rng(1);
+  EXPECT_THROW(CsaPlanner().plan(inst, rng), PreconditionError);
+}
+
+// A copy starts without a matrix, so it can be changed and planned on its
+// own (and on another thread) without touching the original's matrix.
+TEST(TravelMatrix, CopiesDoNotShareTheMatrix) {
+  Rng gen(43);
+  const TideInstance original = random_pool(gen, 10, 210);
+  Rng rng(1);
+  const Plan before = CsaPlanner().plan(original, rng);
+  const TravelMatrix* original_matrix = &original.travel_matrix();
+
+  TideInstance grown = original;
+  grown.stops.push_back(original.stops.back());
+  grown.stops.back().node = 210;
+  const Plan on_copy = CsaPlanner().plan(grown, rng);
+  EXPECT_EQ(grown.travel_matrix().size(), 211u);
+  EXPECT_NE(&grown.travel_matrix(), original_matrix);
+
+  TideInstance fresh;
+  fresh.start_position = grown.start_position;
+  fresh.speed = grown.speed;
+  fresh.stops = grown.stops;
+  const Plan on_fresh = CsaPlanner().plan(fresh, rng);
+  EXPECT_EQ(on_copy.utility, on_fresh.utility);
+  EXPECT_EQ(on_copy.visits.size(), on_fresh.visits.size());
+
+  TideInstance assigned;
+  assigned = original;
+  EXPECT_NE(&assigned.travel_matrix(), original_matrix);
+  EXPECT_EQ(&original.travel_matrix(), original_matrix);
+  EXPECT_EQ(CsaPlanner().plan(original, rng).utility, before.utility);
+}
+
 // Integer-exact slack behavior: a stop inserted in front of a long wait is
 // fully absorbed (delta exactly 0, downstream schedule untouched), and the
 // slack array rejects exactly the insertions whose pushed-forward delay

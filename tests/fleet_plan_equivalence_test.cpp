@@ -1,5 +1,5 @@
 // FleetPlanEquivalence: the cooperative fleet planner (slack-based
-// RouteState, shared pair-distance memo, CELF fills) must produce plans
+// RouteState, lazily filled travel-matrix rows, CELF fills) must produce plans
 // IDENTICAL to the retained naive sequential implementation
 // (core/fleet_reference.hpp) on every instance — same per-charger visit
 // sequences, bit-equal utilities and completion times, same orphan pool and
@@ -22,9 +22,8 @@
 namespace wrsn::csa {
 namespace {
 
-// Random fleet problem.  Stops get distinct node ids (node = index) so the
-// planner's node-pair distance memo path is exercised, not the kInvalidNode
-// fallback.
+// Random fleet problem.  Stops get distinct node ids (node = index), as in
+// the missions that feed the fleet planner.
 FleetInstance random_fleet(Rng& gen, int chargers, int keys, int stops) {
   FleetInstance inst;
   for (int m = 0; m < chargers; ++m) {
@@ -208,6 +207,56 @@ TEST(FleetPlanEquivalenceTargeted, DeadChargerKeysReenterTheAuction) {
   EXPECT_TRUE(fp.covers_all_keys());
   EXPECT_TRUE(fp.unscheduled_keys.empty());
   EXPECT_EQ(fp.plans[1].visits.size(), 6u);
+}
+
+// One planner may serve any sequence of instances: a planner that planned
+// deployment A plans deployment B exactly as a fresh planner does.  A and B
+// reuse node ids 0..N-1 at different positions, so any distance carried
+// over from A (keyed by node id) would corrupt B's legs.
+TEST(FleetPlanEquivalenceTargeted, ReusedPlannerPlansLikeAFreshOne) {
+  const auto deployment = [](std::uint64_t seed) {
+    Rng gen(seed);
+    FleetInstance inst;
+    for (int m = 0; m < 2; ++m) {
+      FleetCharger c;
+      c.start_position = {gen.uniform(-200.0, 200.0),
+                          gen.uniform(-200.0, 200.0)};
+      inst.chargers.push_back(c);
+    }
+    for (int i = 0; i < 10 + 200; ++i) {
+      Stop s;
+      s.node = static_cast<net::NodeId>(i);
+      s.position = {gen.uniform(-200.0, 200.0), gen.uniform(-200.0, 200.0)};
+      s.window_open = gen.uniform(0.0, 20'000.0);
+      s.window_close = s.window_open + gen.uniform(3'600.0, 14'400.0);
+      s.service_time = gen.uniform(600.0, 1'800.0);
+      s.is_key = i < 10;
+      s.utility = s.is_key ? 0.0 : gen.uniform(100.0, 8'000.0);
+      inst.stops.push_back(s);
+    }
+    return inst;
+  };
+  const FleetInstance a = deployment(42);
+  const FleetInstance b = deployment(43);
+
+  const CooperativeFleetPlanner reused;
+  reused.plan(a);
+  const FleetPlan again = reused.plan(b);
+  const FleetPlan fresh = CooperativeFleetPlanner().plan(b);
+
+  ASSERT_EQ(again.plans.size(), fresh.plans.size());
+  for (std::size_t m = 0; m < fresh.plans.size(); ++m) {
+    ASSERT_EQ(again.plans[m].visits.size(), fresh.plans[m].visits.size());
+    for (std::size_t i = 0; i < fresh.plans[m].visits.size(); ++i) {
+      EXPECT_EQ(again.plans[m].visits[i].stop_index,
+                fresh.plans[m].visits[i].stop_index);
+    }
+    EXPECT_EQ(again.plans[m].completion_time, fresh.plans[m].completion_time);
+  }
+  EXPECT_EQ(again.utility, fresh.utility);
+  EXPECT_EQ(again.keys_scheduled, fresh.keys_scheduled);
+  EXPECT_EQ(again.auction_moves, fresh.auction_moves);
+  expect_fleet_plans_identical(b, "reused-planner");
 }
 
 }  // namespace
