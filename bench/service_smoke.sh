@@ -3,8 +3,9 @@
 # `wrsn_cli --serve`, fire concurrent duplicate-heavy clients (each one
 # cross-checks the served result against a direct local run via the CLI's
 # built-in --client verification), then SIGTERM the server and demand a
-# clean drain.  Finally the per-seed digests are compared ACROSS thread
-# counts: the service must be bit-identical however the pool is sized.
+# clean drain.  A local `wrsn_cli --repro` run of one line must report the
+# served result digest.  Finally the per-seed digests are compared ACROSS
+# thread counts: the service must be bit-identical however the pool is sized.
 #
 #   bench/service_smoke.sh [build-dir]
 #
@@ -21,11 +22,18 @@ if [[ ! -x "$cli" ]]; then
 fi
 
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+server=""
+trap 'if [[ -n "$server" ]]; then kill "$server" 2>/dev/null || true; fi
+      rm -rf "$workdir"' EXIT
 
 # Duplicate-heavy workload: 12 concurrent clients over only 4 distinct
 # seeds, so most requests coalesce or hit the cache while in flight.
 seeds=(11 11 12 11 13 12 14 11 12 13 14 11)
+
+# A single-charger line that names a compromised fleet member: the local CLI
+# run must replay the mission the service runs (same result digest).
+replay_line='topology.node_count=40;topology.region_size=253;horizon=60000;seed=5;topology.battery_capacity=2000;world.sensing_power=0.05;world.initial_level_min=0.35;world.initial_level_max=0.5;attack.key_count=6;fleet.compromised=0'
+result_digest() { sed -n 's/^result digest  *\([0-9][0-9]*\).*/\1/p' "$1"; }
 
 for threads in 1 2 8; do
   sock="$workdir/svc_$threads.sock"
@@ -67,6 +75,20 @@ for threads in 1 2 8; do
       exit 1
     fi
   done
+
+  # The served result digest of the replay line must equal a local run's.
+  "$cli" --client "$sock" --no-verify --repro "$replay_line" \
+    > "$workdir/replay_served_$threads.log" 2>&1
+  "$cli" --repro "$replay_line" > "$workdir/replay_local_$threads.log" 2>&1
+  served="$(result_digest "$workdir/replay_served_$threads.log")"
+  local_run="$(result_digest "$workdir/replay_local_$threads.log")"
+  if [[ -z "$served" || "$served" != "$local_run" ]]; then
+    echo "FAIL: local replay digest '$local_run' != served '$served'" \
+      "(WRSN_THREADS=$threads)" >&2
+    cat "$workdir/replay_served_$threads.log" \
+      "$workdir/replay_local_$threads.log" >&2
+    exit 1
+  fi
 
   kill -TERM "$server"
   if ! wait "$server"; then

@@ -8,7 +8,10 @@
 // overrides, runs one mission, prints the report, and (with --export) dumps
 // the full trace as CSV for external analysis.  --repro takes a failing
 // trial line printed by scenario_fuzzer and replays exactly that mission
-// (the line's `mode`/`seed` win over the matching flags).
+// (the line's `mode` wins over --mode; --seed, --fleet and --compromised win
+// over the line's keys).  Local runs, --client and the service all resolve
+// the scenario through resolve_overrides + run_mission, so the report's
+// result digest equals the served one.
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -250,42 +253,34 @@ int main(int argc, char** argv) {
     if (!serve_path.empty()) {
       return run_serve(serve_path, cache_entries, queue_limit, metrics_path);
     }
+    // Every front end resolves a mission the same way: one override map
+    // (--mode, then the config file, then --repro, then the --seed and fleet
+    // flags; later sources win) through resolve_overrides and run_mission.
+    // The wire protocol carries exactly this map as a repro line.
+    analysis::FuzzOverrides overrides;
+    overrides["mode"] = mode;
+    if (!config_path.empty()) {
+      std::ifstream in(config_path);
+      if (!in) throw ConfigError("cannot open " + config_path);
+      for (auto& [k, v] : analysis::parse_ini(in)) overrides[k] = v;
+    }
+    if (!repro_line.empty()) {
+      for (auto& [k, v] : analysis::parse_repro(repro_line)) overrides[k] = v;
+    }
+    if (seed_set) overrides["seed"] = std::to_string(seed);
+    if (fleet > 1) overrides["fleet.size"] = std::to_string(fleet);
+    if (compromised_set) {
+      overrides["fleet.compromised"] = std::to_string(compromised);
+    }
+    mode = overrides["mode"];
+    if (mode != "attack" && mode != "benign") {
+      std::cerr << "unknown mode '" << mode << "'\n";
+      return 2;
+    }
     if (!client_path.empty()) {
-      // The wire protocol carries overrides-over-defaults (a repro line), so
-      // fold every local source into one override map: flags first, then the
-      // config file, then an explicit --repro (later sources win).
-      analysis::FuzzOverrides overrides;
-      overrides["mode"] = mode;
-      if (!config_path.empty()) {
-        std::ifstream in(config_path);
-        if (!in) throw ConfigError("cannot open " + config_path);
-        for (auto& [k, v] : analysis::parse_ini(in)) overrides[k] = v;
-      }
-      if (!repro_line.empty()) {
-        for (auto& [k, v] : analysis::parse_repro(repro_line)) {
-          overrides[k] = v;
-        }
-      }
-      if (seed_set) overrides["seed"] = std::to_string(seed);
-      if (fleet > 1) overrides["fleet.size"] = std::to_string(fleet);
-      if (compromised_set) {
-        overrides["fleet.compromised"] = std::to_string(compromised);
-      }
       return run_client(client_path, client_binary, client_verify, overrides);
     }
-
-    analysis::ScenarioConfig cfg =
-        config_path.empty() ? analysis::default_scenario()
-                            : analysis::load_config_file(config_path);
-    if (!repro_line.empty()) {
-      analysis::FuzzOverrides overrides = analysis::parse_repro(repro_line);
-      if (const auto it = overrides.find("mode"); it != overrides.end()) {
-        mode = it->second;
-        overrides.erase(it);
-      }
-      cfg = analysis::apply_config(cfg, overrides);
-    }
-    if (seed_set) cfg.seed = seed;
+    const auto [cfg, charger_mode] = analysis::resolve_overrides(overrides);
 
     if (!tournament_path.empty()) {
       // Default 3x3 policy grid over the resolved scenario; the tournament
@@ -320,44 +315,19 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Config-file / repro-line fleet keys take effect unless the matching
-    // flag was given, so `--repro 'fleet.size=3;...'` replays the fleet
-    // mission the fuzzer actually ran.
-    if (fleet == 1 && cfg.fleet_size > 1) fleet = cfg.fleet_size;
-    if (!compromised_set && cfg.fleet_compromised != SIZE_MAX) {
-      compromised = cfg.fleet_compromised;
-      compromised_set = true;
-    }
-    // The fuzzer clamps the compromised index into the fleet in attack
-    // mode; mirror that so a replay binds the attacker identically.
-    if (mode == "attack" && fleet > 1 && compromised_set &&
-        compromised >= fleet) {
-      compromised = fleet - 1;
-    }
-
     obs::MetricRegistry metrics;
     analysis::ScenarioResult result;
     {
       // Collect metrics only when asked: the scoped install makes every
-      // instrumented layer under run_scenario write into `metrics`.
+      // instrumented layer under run_mission write into `metrics`.
       obs::ScopedRegistry obs_scope(metrics_path.empty() ? nullptr : &metrics);
-      if (fleet > 1 || compromised_set) {
-        if (mode == "benign") compromised = SIZE_MAX;
-        result = analysis::run_fleet_scenario(cfg, fleet, compromised);
-      } else if (mode == "benign") {
-        result = analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
-      } else if (mode == "attack") {
-        result = analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
-      } else {
-        std::cerr << "unknown mode '" << mode << "'\n";
-        return 2;
-      }
+      result = analysis::run_mission(cfg, charger_mode);
     }
 
     const csa::AttackReport& r = result.report;
     analysis::Table table("Mission report (seed " + std::to_string(cfg.seed) +
-                          ", " + mode + ", fleet " + std::to_string(fleet) +
-                          ")");
+                          ", " + mode + ", fleet " +
+                          std::to_string(cfg.fleet_size) + ")");
     table.headers({"metric", "value"});
     table.row({"nodes alive at end", std::to_string(result.alive_at_end) +
                                          "/" +
@@ -383,6 +353,8 @@ int main(int argc, char** argv) {
                r.partition_time.has_value()
                    ? analysis::fmt(*r.partition_time / 3600.0, 1) + " h"
                    : "never"});
+    table.row({"result digest",
+               std::to_string(analysis::digest_result(result))});
     table.print(std::cout);
 
     if (!export_prefix.empty()) {

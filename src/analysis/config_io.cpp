@@ -1,10 +1,9 @@
 #include "analysis/config_io.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <fstream>
-#include <functional>
-#include <sstream>
+#include <initializer_list>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -18,11 +17,10 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-double to_double(const std::string& key, const std::string& value) {
+void parse(const std::string& key, const std::string& value, double& out) {
   std::size_t consumed = 0;
-  double parsed = 0.0;
   try {
-    parsed = std::stod(value, &consumed);
+    out = std::stod(value, &consumed);
   } catch (const std::exception&) {
     throw ConfigError("config key '" + key + "': cannot parse number '" +
                       value + "'");
@@ -31,52 +29,88 @@ double to_double(const std::string& key, const std::string& value) {
     throw ConfigError("config key '" + key + "': trailing junk in '" + value +
                       "'");
   }
-  return parsed;
 }
 
-std::size_t to_size(const std::string& key, const std::string& value) {
-  const double parsed = to_double(key, value);
+void parse(const std::string& key, const std::string& value,
+           std::size_t& out) {
+  double parsed = 0.0;
+  parse(key, value, parsed);
   if (parsed < 0.0 || parsed != std::floor(parsed)) {
     throw ConfigError("config key '" + key + "': expected a non-negative "
                       "integer, got '" + value + "'");
   }
-  return static_cast<std::size_t>(parsed);
+  out = static_cast<std::size_t>(parsed);
 }
 
-bool to_bool(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  throw ConfigError("config key '" + key + "': expected a boolean, got '" +
-                    value + "'");
+void parse(const std::string& key, const std::string& value, bool& out) {
+  if (value == "true" || value == "1" || value == "yes") {
+    out = true;
+  } else if (value == "false" || value == "0" || value == "no") {
+    out = false;
+  } else {
+    throw ConfigError("config key '" + key + "': expected a boolean, got '" +
+                      value + "'");
+  }
 }
 
-net::KeyNodeRule to_key_rule(const std::string& key,
-                             const std::string& value) {
-  if (value == "articulation") return net::KeyNodeRule::Articulation;
-  if (value == "top-traffic") return net::KeyNodeRule::TopTraffic;
-  if (value == "hybrid") return net::KeyNodeRule::Hybrid;
-  throw ConfigError("config key '" + key +
-                    "': expected articulation|top-traffic|hybrid");
+/// Enum keys: the value must be one of `names`; the error lists them all.
+template <typename E>
+void parse_name(const std::string& key, const std::string& value, E& out,
+                std::initializer_list<std::pair<const char*, E>> names) {
+  for (const auto& [name, e] : names) {
+    if (value == name) {
+      out = e;
+      return;
+    }
+  }
+  std::string expected;
+  for (const auto& [name, e] : names) {
+    expected += (expected.empty() ? "" : "|") + std::string(name);
+  }
+  throw ConfigError("config key '" + key + "': expected " + expected);
 }
 
-csa::SpoofMode to_spoof_mode(const std::string& key,
-                             const std::string& value) {
-  if (value == "phase-cancel") return csa::SpoofMode::PhaseCancel;
-  if (value == "partial-cancel") return csa::SpoofMode::PartialCancel;
-  if (value == "silent-skip") return csa::SpoofMode::SilentSkip;
-  if (value == "no-service") return csa::SpoofMode::NoService;
-  throw ConfigError(
-      "config key '" + key +
-      "': expected phase-cancel|partial-cancel|silent-skip|no-service");
+void parse(const std::string& key, const std::string& value,
+           net::Deployment& out) {
+  using D = net::Deployment;
+  parse_name(key, value, out,
+             {{"uniform", D::Uniform}, {"grid", D::Grid},
+              {"clustered", D::Clustered}, {"corridor", D::Corridor}});
 }
 
-mc::SchedulePolicy to_policy(const std::string& key,
-                             const std::string& value) {
-  if (value == "njnp") return mc::SchedulePolicy::Njnp;
-  if (value == "edf") return mc::SchedulePolicy::Edf;
-  if (value == "fcfs") return mc::SchedulePolicy::Fcfs;
-  if (value == "tour") return mc::SchedulePolicy::Tour;
-  throw ConfigError("config key '" + key + "': expected njnp|edf|fcfs|tour");
+void parse(const std::string& key, const std::string& value,
+           net::KeyNodeRule& out) {
+  using R = net::KeyNodeRule;
+  parse_name(key, value, out,
+             {{"articulation", R::Articulation},
+              {"top-traffic", R::TopTraffic}, {"hybrid", R::Hybrid}});
+}
+
+void parse(const std::string& key, const std::string& value,
+           csa::SpoofMode& out) {
+  using S = csa::SpoofMode;
+  parse_name(key, value, out,
+             {{"phase-cancel", S::PhaseCancel},
+              {"partial-cancel", S::PartialCancel},
+              {"silent-skip", S::SilentSkip}, {"no-service", S::NoService}});
+}
+
+void parse(const std::string& key, const std::string& value,
+           mc::SchedulePolicy& out) {
+  using P = mc::SchedulePolicy;
+  parse_name(key, value, out,
+             {{"njnp", P::Njnp}, {"edf", P::Edf}, {"fcfs", P::Fcfs},
+              {"tour", P::Tour}});
+}
+
+void parse(const std::string&, const std::string& value,
+           policy::AttackPolicyKind& out) {
+  out = policy::parse_attack_policy(value);
+}
+
+void parse(const std::string&, const std::string& value,
+           policy::DefenderPolicyKind& out) {
+  out = policy::parse_defender_policy(value);
 }
 
 }  // namespace
@@ -116,315 +150,35 @@ ScenarioConfig apply_config(
     const ScenarioConfig& base,
     const std::map<std::string, std::string>& entries) {
   ScenarioConfig cfg = base;
-
-  using Setter = std::function<void(const std::string&, const std::string&)>;
-  const std::map<std::string, Setter> setters = {
-      // topology
-      {"topology.node_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.node_count = to_size(k, v);
-       }},
-      {"topology.comm_range",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.comm_range = to_double(k, v);
-       }},
-      {"topology.region_size",
-       [&](const std::string& k, const std::string& v) {
-         const double side = to_double(k, v);
-         cfg.topology.region = {{0.0, 0.0}, {side, side}};
-       }},
-      {"topology.mean_data_rate_bps",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.mean_data_rate_bps = to_double(k, v);
-       }},
-      {"topology.battery_capacity",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.battery_capacity = to_double(k, v);
-       }},
-      {"topology.deployment",
-       [&](const std::string& k, const std::string& v) {
-         if (v == "uniform") {
-           cfg.topology.deployment = net::Deployment::Uniform;
-         } else if (v == "grid") {
-           cfg.topology.deployment = net::Deployment::Grid;
-         } else if (v == "clustered") {
-           cfg.topology.deployment = net::Deployment::Clustered;
-         } else if (v == "corridor") {
-           cfg.topology.deployment = net::Deployment::Corridor;
-         } else {
-           throw ConfigError("config key '" + k +
-                             "': expected uniform|grid|clustered|corridor");
-         }
-       }},
-      {"topology.min_separation",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.min_separation = to_double(k, v);
-       }},
-      {"topology.corridor_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.corridor_count = to_size(k, v);
-       }},
-      {"topology.class_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_count = to_size(k, v);
-       }},
-      {"topology.class_capacity_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_capacity_ratio = to_double(k, v);
-       }},
-      {"topology.class_rate_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_rate_ratio = to_double(k, v);
-       }},
-      // mobility
-      {"mobility.fraction",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.fraction = to_double(k, v);
-       }},
-      {"mobility.interval",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.interval = to_double(k, v);
-       }},
-      {"mobility.speed_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.speed_min = to_double(k, v);
-       }},
-      {"mobility.speed_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.speed_max = to_double(k, v);
-       }},
-      {"mobility.pause_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.pause_min = to_double(k, v);
-       }},
-      {"mobility.pause_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.pause_max = to_double(k, v);
-       }},
-      // k-coverage utility
-      {"coverage.k",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.k = to_size(k, v);
-       }},
-      {"coverage.radius",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.radius = to_double(k, v);
-       }},
-      {"coverage.bonus",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.bonus = to_double(k, v);
-       }},
-      // world
-      {"world.request_threshold",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.request_threshold = to_double(k, v);
-       }},
-      {"world.patience",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.patience = to_double(k, v);
-       }},
-      {"world.min_request_gap",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.min_request_gap = to_double(k, v);
-       }},
-      {"world.hardware_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.hardware_mtbf = to_double(k, v);
-       }},
-      {"world.emergency_enabled",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.emergency_enabled = to_bool(k, v);
-       }},
-      {"world.sensing_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.drain.sensing_power = to_double(k, v);
-       }},
-      {"world.initial_level_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.initial_level_min = to_double(k, v);
-       }},
-      {"world.initial_level_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.initial_level_max = to_double(k, v);
-       }},
-      {"world.source_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.charging.source_power = to_double(k, v);
-       }},
-      // benign charger
-      {"benign.policy",
-       [&](const std::string& k, const std::string& v) {
-         cfg.benign.policy = to_policy(k, v);
-       }},
-      {"benign.speed",
-       [&](const std::string& k, const std::string& v) {
-         cfg.benign.charger.speed = to_double(k, v);
-       }},
-      // attack
-      {"attack.spoof_mode",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.spoof_mode = to_spoof_mode(k, v);
-       }},
-      {"attack.key_rule",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.key_selection.rule = to_key_rule(k, v);
-       }},
-      {"attack.key_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.key_selection.max_count = to_size(k, v);
-       }},
-      {"attack.pace_limit",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.pace_limit = to_size(k, v);
-       }},
-      {"attack.pace_window",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.pace_window = to_double(k, v);
-       }},
-      {"attack.partial_leak_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.partial_leak_ratio = to_double(k, v);
-       }},
-      {"attack.lookahead",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.lookahead = to_double(k, v);
-       }},
-      // faults
-      {"faults.mc_breakdown_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_breakdown_mtbf = to_double(k, v);
-       }},
-      {"faults.mc_repair_mean",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_repair_mean = to_double(k, v);
-       }},
-      {"faults.mc_budget_loss",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_budget_loss = to_double(k, v);
-       }},
-      {"faults.mc_permanent_at",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_permanent_at = to_double(k, v);
-       }},
-      {"faults.node_burst_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.node_burst_mtbf = to_double(k, v);
-       }},
-      {"faults.node_burst_size",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.node_burst_size = to_size(k, v);
-       }},
-      {"faults.phase_noise_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_mtbf = to_double(k, v);
-       }},
-      {"faults.phase_noise_duration",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_duration = to_double(k, v);
-       }},
-      {"faults.phase_noise_scale",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_scale = to_double(k, v);
-       }},
-      {"faults.escalation_drop_prob",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_drop_prob = to_double(k, v);
-       }},
-      {"faults.escalation_delay_prob",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_delay_prob = to_double(k, v);
-       }},
-      {"faults.escalation_delay_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_delay_max = to_double(k, v);
-       }},
-      {"faults.battery_drift_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_mtbf = to_double(k, v);
-       }},
-      {"faults.battery_drift_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_power = to_double(k, v);
-       }},
-      {"faults.battery_drift_duration",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_duration = to_double(k, v);
-       }},
-      // fleet
-      {"fleet.size",
-       [&](const std::string& k, const std::string& v) {
-         cfg.fleet_size = to_size(k, v);
-         if (cfg.fleet_size == 0) {
-           throw ConfigError("'" + k + "' must be >= 1");
-         }
-       }},
-      {"fleet.compromised",
-       [&](const std::string& k, const std::string& v) {
-         cfg.fleet_compromised = to_size(k, v);
-       }},
-      // policy (DESIGN.md §15)
-      {"policy.attacker",
-       [&](const std::string&, const std::string& v) {
-         cfg.policy.attacker.kind = policy::parse_attack_policy(v);
-       }},
-      {"policy.epsilon",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.epsilon = to_double(k, v);
-       }},
-      {"policy.ucb_c",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.ucb_c = to_double(k, v);
-       }},
-      {"policy.epoch",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.epoch = to_double(k, v);
-       }},
-      {"policy.risk_weight",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.risk_weight = to_double(k, v);
-       }},
-      {"policy.risk_budget",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.risk_budget = to_size(k, v);
-       }},
-      {"policy.defender",
-       [&](const std::string&, const std::string& v) {
-         cfg.policy.defender.kind = policy::parse_defender_policy(v);
-       }},
-      {"policy.defender_window",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.window = to_double(k, v);
-       }},
-      {"policy.defender_quantile",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.quantile = to_double(k, v);
-       }},
-      {"policy.defender_min_samples",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.min_samples = to_size(k, v);
-       }},
-      // run
-      {"horizon",
-       [&](const std::string& k, const std::string& v) {
-         cfg.horizon = to_double(k, v);
-         cfg.attack.campaign_deadline = cfg.horizon;
-       }},
-      {"seed",
-       [&](const std::string& k, const std::string& v) {
-         cfg.seed = static_cast<std::uint64_t>(to_size(k, v));
-       }},
-      {"hardened_detectors",
-       [&](const std::string& k, const std::string& v) {
-         cfg.hardened_detectors = to_bool(k, v);
-       }},
-  };
-
   for (const auto& [key, value] : entries) {
-    const auto it = setters.find(key);
-    if (it == setters.end()) {
-      throw ConfigError("unknown config key '" + key + "'");
+    // The keys that are not one digested field.
+    if (key == "topology.region_size") {
+      double side = 0.0;
+      parse(key, value, side);
+      cfg.topology.region = {{0.0, 0.0}, {side, side}};
+      continue;
     }
-    it->second(key, value);
+    if (key == "seed") {
+      std::size_t seed = 0;
+      parse(key, value, seed);
+      cfg.seed = static_cast<std::uint64_t>(seed);
+      continue;
+    }
+    bool found = false;
+    for_each_field(cfg, [&](const char*, const char* ini_key, auto& field) {
+      if (found || ini_key == nullptr || key != ini_key) return;
+      found = true;
+      // Digest-only field types (territories, the world update mode) have
+      // no parser and no INI key.
+      if constexpr (requires { parse(key, value, field); }) {
+        parse(key, value, field);
+      }
+    });
+    if (!found) throw ConfigError("unknown config key '" + key + "'");
+    if (key == "horizon") cfg.attack.campaign_deadline = cfg.horizon;
+    if (key == "fleet.size" && cfg.fleet_size == 0) {
+      throw ConfigError("'" + key + "' must be >= 1");
+    }
   }
   // Fault parameters carry cross-field constraints (e.g. drop + delay
   // probabilities summing past 1), so the whole section validates at load

@@ -349,7 +349,11 @@ class MetricRegistry {
 
 namespace detail {
 /// The thread-local current registry; null = instrumentation disabled.
-extern thread_local MetricRegistry* g_current;
+/// `constinit` states that it has no dynamic initialiser, so other
+/// translation units access it directly instead of through a TLS wrapper
+/// function; on the wrapper path, GCC 12.2's UBSan reported null-pointer
+/// loads and stores here.
+extern constinit thread_local MetricRegistry* g_current;
 }  // namespace detail
 
 inline MetricRegistry* current() noexcept { return detail::g_current; }

@@ -9,10 +9,12 @@
 //
 // Order invariance is by construction: overrides land in a ScenarioConfig
 // first (config_io applies a sorted map onto fixed struct fields) and the
-// digest walks the struct in declaration order, so two requests describing
-// the same scenario in different override orders — or via INI file vs repro
-// line vs flags — produce the same key.  svc_test pins field sensitivity:
-// mutating any config field must change the digest.
+// digest walks analysis::for_each_field, one fixed list of those fields, so
+// two requests describing the same scenario in different override orders —
+// or via INI file vs repro line vs flags — produce the same key.  svc_test
+// perturbs every field of that list in turn and expects the digest to move,
+// sets every INI key and expects the same, and pins digest values so the mix
+// order and per-type encoding cannot drift.
 #pragma once
 
 #include <cstddef>

@@ -8,10 +8,15 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
+#include "analysis/config_io.hpp"
 #include "analysis/fuzz.hpp"
 #include "analysis/scenario.hpp"
 #include "common/check.hpp"
@@ -98,257 +103,174 @@ TEST(ScenarioDigest, ModeIsIncluded) {
             scenario_digest(cfg, analysis::ChargerMode::Benign));
 }
 
+TEST(ScenarioDigest, PinnedValues) {
+  // Digest values recorded from the hand-written mixers that preceded
+  // for_each_field: any change to the field order or to how a field type
+  // is mixed breaks these, and with them every cached or recorded key.
+  using analysis::ChargerMode;
+  const analysis::ScenarioConfig defaults = analysis::default_scenario();
+  EXPECT_EQ(scenario_digest(defaults, ChargerMode::Attack),
+            13925031312582972836ull);
+  EXPECT_EQ(scenario_digest(defaults, ChargerMode::Benign),
+            2728067566189029777ull);
+  EXPECT_EQ(scenario_digest(quick_scenario(1), ChargerMode::Attack),
+            14743916838619439808ull);
+
+  // The CI fuzz-smoke family lines (mobility, coverage, policy).
+  const std::pair<const char*, std::uint64_t> families[] = {
+      {"mode=attack;seed=4242;topology.node_count=36;"
+       "topology.region_size=240;topology.class_count=3;"
+       "topology.class_capacity_ratio=2;horizon=43200;"
+       "topology.battery_capacity=2500;world.sensing_power=0.05;"
+       "world.initial_level_min=0.4;world.initial_level_max=0.55;"
+       "world.patience=5400;mobility.fraction=0.2;mobility.interval=1800;"
+       "mobility.speed_max=2;world.emergency_enabled=true",
+       8157142888409247227ull},
+      {"mode=benign;seed=1717;topology.node_count=32;"
+       "topology.region_size=226;topology.deployment=corridor;"
+       "topology.corridor_count=2;horizon=43200;"
+       "topology.battery_capacity=2500;world.sensing_power=0.05;"
+       "world.initial_level_min=0.4;world.initial_level_max=0.55;"
+       "world.patience=5400;coverage.k=2;coverage.bonus=1.5;"
+       "coverage.radius=70",
+       12717451254959079237ull},
+      {"mode=attack;seed=909;topology.node_count=36;"
+       "topology.region_size=240;horizon=43200;"
+       "topology.battery_capacity=2500;world.sensing_power=0.05;"
+       "world.initial_level_min=0.4;world.initial_level_max=0.55;"
+       "world.patience=5400;attack.key_count=6;policy.attacker=ucb;"
+       "policy.epsilon=0.2;policy.ucb_c=1.5;policy.epoch=7200;"
+       "policy.risk_weight=2;policy.risk_budget=3;policy.defender=adaptive;"
+       "policy.defender_window=7200;policy.defender_quantile=2;"
+       "policy.defender_min_samples=2",
+       2845756991799688311ull},
+  };
+  for (const auto& [line, pinned] : families) {
+    const auto [cfg, mode] =
+        analysis::resolve_overrides(analysis::parse_repro(line));
+    EXPECT_EQ(scenario_digest(cfg, mode), pinned) << line;
+  }
+}
+
+/// Bumps one field to a different value of its type.
+template <typename T>
+void perturb(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else if constexpr (std::is_enum_v<T>) {
+    field = static_cast<T>(static_cast<std::underlying_type_t<T>>(field) + 1);
+  } else if constexpr (std::is_same_v<T, std::vector<net::NodeId>>) {
+    field.push_back(3);
+  } else {
+    field += 1;  // double, std::size_t
+  }
+}
+
 TEST(ScenarioDigest, EveryMutatedFieldChangesTheDigest) {
+  // A field the digest skipped would make the mission cache serve stale
+  // results for configs that differ only in that field.
   const analysis::ScenarioConfig base = quick_scenario(1);
   const std::uint64_t base_digest =
       scenario_digest(base, analysis::ChargerMode::Attack);
-
-  // EVERY field the digest walks, one mutation each.  When a field is added
-  // to a config struct, digest.cpp must gain a mixer and this sweep a line —
-  // a forgotten mixer makes the mission cache serve stale results for
-  // configs that differ only in that field.
-  std::vector<std::pair<const char*, analysis::ScenarioConfig>> mutants;
-  auto add = [&](const char* name, auto&& mutate) {
+  std::size_t fields = 0;
+  analysis::for_each_field(base, [&](const char*, const char*, const auto&) {
+    ++fields;
+  });
+  ASSERT_GT(fields, 100u);
+  for (std::size_t i = 0; i < fields; ++i) {
     analysis::ScenarioConfig cfg = base;
-    mutate(cfg);
-    mutants.emplace_back(name, cfg);
-  };
-
-  // --- topology ---
-  add("topology.region.lo.x", [](auto& c) { c.topology.region.lo.x -= 1.0; });
-  add("topology.region.lo.y", [](auto& c) { c.topology.region.lo.y -= 1.0; });
-  add("topology.region.hi.x", [](auto& c) { c.topology.region.hi.x += 1.0; });
-  add("topology.region.hi.y", [](auto& c) { c.topology.region.hi.y += 1.0; });
-  add("topology.node_count", [](auto& c) { c.topology.node_count += 1; });
-  add("topology.comm_range", [](auto& c) { c.topology.comm_range += 1.0; });
-  add("topology.deployment",
-      [](auto& c) { c.topology.deployment = net::Deployment::Grid; });
-  add("topology.sink_at_center", [](auto& c) {
-    c.topology.sink_at_center = false;
-    c.topology.sink_position = {1.0, 1.0};
-  });
-  add("topology.sink_position.x",
-      [](auto& c) { c.topology.sink_position.x += 1.0; });
-  add("topology.sink_position.y",
-      [](auto& c) { c.topology.sink_position.y += 1.0; });
-  add("topology.mean_data_rate_bps",
-      [](auto& c) { c.topology.mean_data_rate_bps += 10.0; });
-  add("topology.battery_capacity",
-      [](auto& c) { c.topology.battery_capacity += 100.0; });
-  add("topology.min_separation",
-      [](auto& c) { c.topology.min_separation += 0.5; });
-  add("topology.cluster_count", [](auto& c) { c.topology.cluster_count += 1; });
-  add("topology.cluster_sigma_fraction",
-      [](auto& c) { c.topology.cluster_sigma_fraction += 0.01; });
-  add("topology.cluster_background_fraction",
-      [](auto& c) { c.topology.cluster_background_fraction += 0.01; });
-  add("topology.corridor_count",
-      [](auto& c) { c.topology.corridor_count += 1; });
-  add("topology.class_count", [](auto& c) { c.topology.class_count += 1; });
-  add("topology.class_capacity_ratio",
-      [](auto& c) { c.topology.class_capacity_ratio += 0.5; });
-  add("topology.class_rate_ratio",
-      [](auto& c) { c.topology.class_rate_ratio += 0.5; });
-  add("topology.max_attempts", [](auto& c) { c.topology.max_attempts += 1; });
-
-  // --- world ---
-  add("world.request_threshold",
-      [](auto& c) { c.world.request_threshold += 0.01; });
-  add("world.min_request_gap", [](auto& c) { c.world.min_request_gap += 1.0; });
-  add("world.patience", [](auto& c) { c.world.patience += 60.0; });
-  add("world.charge_target_fraction",
-      [](auto& c) { c.world.charge_target_fraction -= 0.01; });
-  add("world.benign_gain_mean",
-      [](auto& c) { c.world.benign_gain_mean += 0.01; });
-  add("world.benign_gain_cv", [](auto& c) { c.world.benign_gain_cv += 0.01; });
-  add("world.initial_level_min",
-      [](auto& c) { c.world.initial_level_min += 0.01; });
-  add("world.initial_level_max",
-      [](auto& c) { c.world.initial_level_max -= 0.01; });
-  add("world.emergency_enabled",
-      [](auto& c) { c.world.emergency_enabled = !c.world.emergency_enabled; });
-  add("world.emergency_fraction",
-      [](auto& c) { c.world.emergency_fraction += 0.01; });
-  add("world.emergency_patience",
-      [](auto& c) { c.world.emergency_patience += 60.0; });
-  add("world.hardware_mtbf", [](auto& c) { c.world.hardware_mtbf += 3'600.0; });
-  add("world.update_mode", [](auto& c) {
-    c.world.update_mode = c.world.update_mode == sim::WorldUpdateMode::Fast
-                              ? sim::WorldUpdateMode::Reference
-                              : sim::WorldUpdateMode::Fast;
-  });
-  add("world.charging.source_power",
-      [](auto& c) { c.world.charging.source_power += 1.0; });
-  add("world.charging.gain_product",
-      [](auto& c) { c.world.charging.gain_product += 0.1; });
-  add("world.charging.beta", [](auto& c) { c.world.charging.beta += 0.1; });
-  add("world.charging.max_range",
-      [](auto& c) { c.world.charging.max_range += 0.5; });
-  add("world.charging.dock_distance",
-      [](auto& c) { c.world.charging.dock_distance += 0.1; });
-  add("world.charging.wavelength",
-      [](auto& c) { c.world.charging.wavelength += 0.01; });
-  add("world.rectifier.sensitivity",
-      [](auto& c) { c.world.charging.rectifier.sensitivity += 1e-4; });
-  add("world.rectifier.max_efficiency",
-      [](auto& c) { c.world.charging.rectifier.max_efficiency -= 0.01; });
-  add("world.rectifier.knee",
-      [](auto& c) { c.world.charging.rectifier.knee += 0.01; });
-  add("world.rectifier.dc_cap",
-      [](auto& c) { c.world.charging.rectifier.dc_cap += 0.1; });
-  add("world.routing.hop_cost",
-      [](auto& c) { c.world.routing.hop_cost += 1.0; });
-  add("world.drain.sensing_power",
-      [](auto& c) { c.world.drain.sensing_power += 1e-3; });
-  add("world.drain.radio.e_elec",
-      [](auto& c) { c.world.drain.radio.e_elec += 1e-9; });
-  add("world.drain.radio.e_amp",
-      [](auto& c) { c.world.drain.radio.e_amp += 1e-12; });
-  add("world.mobility.fraction",
-      [](auto& c) { c.world.mobility.fraction += 0.1; });
-  add("world.mobility.interval",
-      [](auto& c) { c.world.mobility.interval += 60.0; });
-  add("world.mobility.speed_min",
-      [](auto& c) { c.world.mobility.speed_min += 0.1; });
-  add("world.mobility.speed_max",
-      [](auto& c) { c.world.mobility.speed_max += 0.1; });
-  add("world.mobility.pause_min",
-      [](auto& c) { c.world.mobility.pause_min += 10.0; });
-  add("world.mobility.pause_max",
-      [](auto& c) { c.world.mobility.pause_max += 10.0; });
-  add("world.coverage.k", [](auto& c) { c.world.coverage.k += 1; });
-  add("world.coverage.radius", [](auto& c) { c.world.coverage.radius += 5.0; });
-  add("world.coverage.bonus", [](auto& c) { c.world.coverage.bonus += 0.1; });
-
-  // --- attack (mix_charger is covered field-by-field through this copy) ---
-  add("attack.charger.depot.x",
-      [](auto& c) { c.attack.charger.depot.x += 1.0; });
-  add("attack.charger.depot.y",
-      [](auto& c) { c.attack.charger.depot.y += 1.0; });
-  add("attack.charger.speed", [](auto& c) { c.attack.charger.speed += 0.1; });
-  add("attack.charger.battery_capacity",
-      [](auto& c) { c.attack.charger.battery_capacity += 100.0; });
-  add("attack.charger.travel_cost_per_meter",
-      [](auto& c) { c.attack.charger.travel_cost_per_meter += 0.1; });
-  add("attack.charger.pa_efficiency",
-      [](auto& c) { c.attack.charger.pa_efficiency -= 0.01; });
-  add("attack.charger.depot_recharge_power",
-      [](auto& c) { c.attack.charger.depot_recharge_power += 1.0; });
-  add("attack.key_rule", [](auto& c) {
-    c.attack.key_selection.rule = net::KeyNodeRule::TopTraffic;
-  });
-  add("attack.key_count", [](auto& c) { c.attack.key_selection.max_count++; });
-  add("attack.key_min_disconnect",
-      [](auto& c) { c.attack.key_selection.min_disconnect += 1; });
-  add("attack.spoofing.antenna_separation",
-      [](auto& c) { c.attack.spoofing.antenna_separation += 0.01; });
-  add("attack.spoofing.phase_jitter_sigma",
-      [](auto& c) { c.attack.spoofing.phase_jitter_sigma += 0.01; });
-  add("attack.spoofing.amplitude_imbalance",
-      [](auto& c) { c.attack.spoofing.amplitude_imbalance += 0.01; });
-  add("attack.spoof_mode", [](auto& c) {
-    c.attack.spoof_mode = c.attack.spoof_mode == csa::SpoofMode::NoService
-                              ? csa::SpoofMode::PhaseCancel
-                              : csa::SpoofMode::NoService;
-  });
-  add("attack.partial_leak_ratio",
-      [](auto& c) { c.attack.partial_leak_ratio += 0.01; });
-  add("attack.window_margin", [](auto& c) { c.attack.window_margin += 60.0; });
-  add("attack.lookahead", [](auto& c) { c.attack.lookahead += 60.0; });
-  add("attack.campaign_deadline",
-      [](auto& c) { c.attack.campaign_deadline += 60.0; });
-  add("attack.campaign_slack",
-      [](auto& c) { c.attack.campaign_slack += 60.0; });
-  add("attack.pace_limit", [](auto& c) { c.attack.pace_limit += 1; });
-  add("attack.pace_window", [](auto& c) { c.attack.pace_window += 60.0; });
-  add("attack.comm_antenna_offset",
-      [](auto& c) { c.attack.comm_antenna_offset += 0.01; });
-  add("attack.battery_reserve_fraction",
-      [](auto& c) { c.attack.battery_reserve_fraction += 0.01; });
-  add("attack.territory", [](auto& c) { c.attack.territory.push_back(3); });
-
-  // --- benign ---
-  add("benign.charger.speed", [](auto& c) { c.benign.charger.speed += 0.1; });
-  add("benign.policy", [](auto& c) {
-    c.benign.policy = c.benign.policy == mc::SchedulePolicy::Fcfs
-                          ? mc::SchedulePolicy::Edf
-                          : mc::SchedulePolicy::Fcfs;
-  });
-  add("benign.preempt_travel",
-      [](auto& c) { c.benign.preempt_travel = !c.benign.preempt_travel; });
-  add("benign.battery_reserve_fraction",
-      [](auto& c) { c.benign.battery_reserve_fraction += 0.01; });
-  add("benign.territory", [](auto& c) { c.benign.territory.push_back(3); });
-  add("benign.tour_batch", [](auto& c) { c.benign.tour_batch += 1; });
-  add("benign.tour_max_wait",
-      [](auto& c) { c.benign.tour_max_wait += 60.0; });
-
-  // --- faults ---
-  add("faults.mc_breakdown_mtbf",
-      [](auto& c) { c.faults.mc_breakdown_mtbf = 9'999.0; });
-  add("faults.mc_repair_mean",
-      [](auto& c) { c.faults.mc_repair_mean += 60.0; });
-  add("faults.mc_budget_loss",
-      [](auto& c) { c.faults.mc_budget_loss += 0.05; });
-  add("faults.mc_permanent_at",
-      [](auto& c) { c.faults.mc_permanent_at = 7'200.0; });
-  add("faults.node_burst_mtbf",
-      [](auto& c) { c.faults.node_burst_mtbf = 9'999.0; });
-  add("faults.node_burst_size", [](auto& c) { c.faults.node_burst_size += 1; });
-  add("faults.phase_noise_mtbf",
-      [](auto& c) { c.faults.phase_noise_mtbf = 9'999.0; });
-  add("faults.phase_noise_duration",
-      [](auto& c) { c.faults.phase_noise_duration += 60.0; });
-  add("faults.phase_noise_scale",
-      [](auto& c) { c.faults.phase_noise_scale += 1.0; });
-  add("faults.escalation_drop_prob",
-      [](auto& c) { c.faults.escalation_drop_prob = 0.25; });
-  add("faults.escalation_delay_prob",
-      [](auto& c) { c.faults.escalation_delay_prob = 0.25; });
-  add("faults.escalation_delay_max",
-      [](auto& c) { c.faults.escalation_delay_max += 60.0; });
-  add("faults.battery_drift_mtbf",
-      [](auto& c) { c.faults.battery_drift_mtbf = 9'999.0; });
-  add("faults.battery_drift_power",
-      [](auto& c) { c.faults.battery_drift_power += 1e-3; });
-  add("faults.battery_drift_duration",
-      [](auto& c) { c.faults.battery_drift_duration += 60.0; });
-
-  // --- top level ---
-  add("horizon", [](auto& c) { c.horizon += 60.0; });
-  add("hardened_detectors", [](auto& c) { c.hardened_detectors = true; });
-  add("fleet_size", [](auto& c) { c.fleet_size = 2; });
-  add("fleet_compromised", [](auto& c) {
-    c.fleet_size = 3;
-    c.fleet_compromised = 1;
-  });
-
-  // --- policy ---
-  add("policy.attacker.kind", [](auto& c) {
-    c.policy.attacker.kind = policy::AttackPolicyKind::Ucb;
-  });
-  add("policy.attacker.epsilon",
-      [](auto& c) { c.policy.attacker.epsilon += 0.05; });
-  add("policy.attacker.ucb_c", [](auto& c) { c.policy.attacker.ucb_c += 0.5; });
-  add("policy.attacker.epoch", [](auto& c) { c.policy.attacker.epoch += 60.0; });
-  add("policy.attacker.risk_weight",
-      [](auto& c) { c.policy.attacker.risk_weight += 1.0; });
-  add("policy.attacker.risk_budget",
-      [](auto& c) { c.policy.attacker.risk_budget += 1; });
-  add("policy.defender.kind", [](auto& c) {
-    c.policy.defender.kind = policy::DefenderPolicyKind::Adaptive;
-  });
-  add("policy.defender.window",
-      [](auto& c) { c.policy.defender.window += 60.0; });
-  add("policy.defender.quantile",
-      [](auto& c) { c.policy.defender.quantile += 0.5; });
-  add("policy.defender.min_samples",
-      [](auto& c) { c.policy.defender.min_samples += 1; });
-
-  for (const auto& [name, cfg] : mutants) {
+    const char* path = nullptr;
+    std::size_t at = 0;
+    analysis::for_each_field(cfg, [&](const char* p, const char*, auto& f) {
+      if (at++ != i) return;
+      path = p;
+      perturb(f);
+    });
     EXPECT_NE(scenario_digest(cfg, analysis::ChargerMode::Attack), base_digest)
-        << "digest blind to " << name;
+        << "digest blind to " << path;
   }
+}
+
+TEST(ScenarioDigest, FieldPathsAndKeysAreUnique) {
+  std::set<std::string> paths;
+  std::set<std::string> keys;
+  const analysis::ScenarioConfig defaults = analysis::default_scenario();
+  analysis::for_each_field(
+      defaults,
+      [&](const char* path, const char* key, const auto&) {
+        EXPECT_TRUE(paths.insert(path).second) << "duplicate path " << path;
+        if (key != nullptr) {
+          EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
+        }
+      });
+}
+
+/// INI spellings to try for a key of type T whose default is `current`.
+/// Enum keys try every enum name the loader knows; rejected values are
+/// skipped by the caller.
+template <typename T>
+std::vector<std::string> candidate_values(const T& current) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return {current ? "false" : "true"};
+  } else if constexpr (std::is_enum_v<T>) {
+    return {"uniform", "grid", "clustered", "corridor", "articulation",
+            "top-traffic", "hybrid", "phase-cancel", "partial-cancel",
+            "silent-skip", "no-service", "njnp", "edf", "fcfs", "tour",
+            "static", "eps-greedy", "ucb", "adaptive"};
+  } else if constexpr (std::is_same_v<T, std::size_t>) {
+    std::vector<std::string> values{std::to_string(current + 1)};
+    if (current > 0) values.push_back(std::to_string(current - 1));
+    return values;
+  } else if constexpr (std::is_same_v<T, double>) {
+    std::vector<std::string> values;
+    for (const double v : {current + 1.0, current / 2.0, 0.5}) {
+      if (v == current) continue;
+      std::ostringstream out;
+      out.precision(17);
+      out << v;
+      values.push_back(out.str());
+    }
+    return values;
+  } else {
+    return {};  // digest-only types have no INI spelling
+  }
+}
+
+TEST(ScenarioDigest, EveryIniKeyReachesTheDigest) {
+  // Key -> field -> digest as a whole: some valid non-default value of every
+  // key must move the digest (a value equal to the default cannot).
+  const analysis::ScenarioConfig base = analysis::default_scenario();
+  const std::uint64_t base_digest =
+      scenario_digest(base, analysis::ChargerMode::Attack);
+  const auto moves_digest = [&](const std::string& key,
+                                const std::vector<std::string>& values) {
+    for (const std::string& value : values) {
+      try {
+        const analysis::ScenarioConfig cfg =
+            analysis::apply_config(base, {{key, value}});
+        if (scenario_digest(cfg, analysis::ChargerMode::Attack) !=
+            base_digest) {
+          return true;
+        }
+      } catch (const std::exception&) {
+        // Rejected by the parser or a validator: try the next value.
+      }
+    }
+    return false;
+  };
+  std::size_t keys = 0;
+  analysis::for_each_field(base, [&](const char*, const char* key,
+                                     const auto& field) {
+    if (key == nullptr) return;
+    ++keys;
+    EXPECT_TRUE(moves_digest(key, candidate_values(field)))
+        << "no valid value of '" << key << "' moves the digest";
+  });
+  EXPECT_EQ(keys, 66u);
+  EXPECT_TRUE(moves_digest("topology.region_size", {"250"}));
+  EXPECT_EQ(scenario_digest(analysis::apply_config(base, {{"seed", "7"}}),
+                            analysis::ChargerMode::Attack),
+            base_digest);
 }
 
 // ---------------------------------------------------------------------------
