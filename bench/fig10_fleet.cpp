@@ -70,18 +70,14 @@ void print_planner_sweep() {
     for (const std::size_t stops : {400, 1600}) {
       for (const bool cooperative : {true, false}) {
         std::vector<double> utility, scheduled, unscheduled, moves;
-        std::string name;
+        const csa::CooperativeFleetPlanner coop;
+        const csa::reference::NaiveFleetPlanner naive;
+        const csa::FleetPlanner& planner =
+            cooperative ? static_cast<const csa::FleetPlanner&>(coop)
+                        : static_cast<const csa::FleetPlanner&>(naive);
         for (int seed = 1; seed <= kSeeds; ++seed) {
           const csa::FleetInstance inst = random_fleet(
               fleet, 24, stops, static_cast<std::uint64_t>(seed));
-          // One planner per instance: the cooperative planner's distance
-          // memo is keyed by node id and assumes one fixed deployment.
-          const csa::CooperativeFleetPlanner coop;
-          const csa::reference::NaiveFleetPlanner naive;
-          const csa::FleetPlanner& planner =
-              cooperative ? static_cast<const csa::FleetPlanner&>(coop)
-                          : static_cast<const csa::FleetPlanner&>(naive);
-          name = planner.name();
           const csa::FleetPlan plan = planner.plan(inst);
           utility.push_back(plan.utility);
           scheduled.push_back(double(plan.keys_scheduled));
@@ -92,7 +88,8 @@ void print_planner_sweep() {
         const auto sc = analysis::summarize(scheduled);
         const auto un = analysis::summarize(unscheduled);
         const auto mv = analysis::summarize(moves);
-        table.row({std::to_string(fleet), std::to_string(stops), name,
+        table.row({std::to_string(fleet), std::to_string(stops),
+                   std::string(planner.name()),
                    analysis::fmt(ut.mean, 0),
                    analysis::fmt(sc.mean, 1) + "/24",
                    analysis::fmt(un.mean, 1), analysis::fmt(mv.mean, 1)});

@@ -112,19 +112,8 @@ void FleetInstance::validate() const {
   for (const FleetCharger& c : chargers) {
     if (c.speed <= 0.0) throw ConfigError("fleet charger speed must be > 0");
   }
-  // Same per-stop checks as TideInstance::validate (the member instances are
-  // assembled from this pool verbatim).
-  for (const Stop& stop : stops) {
-    if (stop.window_close < stop.window_open) {
-      throw ConfigError("TIDE stop window closes before it opens");
-    }
-    if (stop.service_time < 0.0) {
-      throw ConfigError("TIDE stop has negative service time");
-    }
-    if (stop.utility < 0.0) {
-      throw ConfigError("TIDE stop has negative utility");
-    }
-  }
+  // The member instances are assembled from this pool verbatim.
+  validate_stops(stops);
 }
 
 FleetPlan CooperativeFleetPlanner::plan(const FleetInstance& instance) const {
@@ -160,17 +149,13 @@ void CooperativeFleetPlanner::plan_into(const FleetInstance& instance,
   }
 
   insts_.resize(m);
-  matrices_.resize(m);
   routes_.resize(m);
   for (const std::size_t k : alive_) {
     insts_[k].start_position = instance.chargers[k].start_position;
     insts_[k].start_time = instance.chargers[k].start_time;
     insts_[k].speed = instance.chargers[k].speed;
     insts_[k].stops = instance.stops;
-    if (!matrices_[k]) matrices_[k] = std::make_shared<TravelMatrix>();
-    matrices_[k]->rebuild(insts_[k]);
-    insts_[k].set_travel_matrix(
-        std::shared_ptr<const TravelMatrix>(matrices_[k]));
+    insts_[k].rebuild_travel_matrix();
     routes_[k].bind(insts_[k]);
     routes_[k].reserve(instance.stops.size());
   }

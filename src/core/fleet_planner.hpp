@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -61,7 +60,7 @@ struct FleetInstance {
 
   std::size_t key_count() const;
   /// Throws ConfigError on inconsistent data (no chargers, non-positive
-  /// speeds, or stop data TideInstance::validate would reject).
+  /// speeds, or stops that validate_stops rejects).
   void validate() const;
 };
 
@@ -115,7 +114,6 @@ class CooperativeFleetPlanner final : public FleetPlanner {
   // plan() is const (FleetPlanner interface); the arenas hold no cross-call
   // state a later call can observe.
   mutable std::vector<TideInstance> insts_;
-  mutable std::vector<std::shared_ptr<TravelMatrix>> matrices_;
   mutable std::vector<RouteState> routes_;
   mutable std::vector<std::size_t> alive_;
   mutable std::vector<std::size_t> keys_;

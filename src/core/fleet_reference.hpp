@@ -2,12 +2,12 @@
 //
 // Runs the same partition-then-auction phases as CooperativeFleetPlanner
 // (core/fleet_planner.hpp) but on the tail-walking NaiveRouteState with the
-// original full-rescore greedy fills and per-charger travel matrices built
-// fresh — no slack arrays, no CELF laziness, no shared distance memo.  It
-// exists ONLY as the executable specification for the FleetPlanEquivalence
-// suite (tests/fleet_plan_equivalence_test.cpp), which pins the fast
-// planner's plans bit-for-bit to this one.  Do not use it in benches or
-// production paths.
+// original full-rescore greedy fills and every leg recomputed from
+// TideInstance::travel_time — no slack arrays, no CELF laziness, no travel
+// matrix.  It exists ONLY as the executable specification for the
+// FleetPlanEquivalence suite (tests/fleet_plan_equivalence_test.cpp), which
+// pins the fast planner's plans bit-for-bit to this one.  Do not use it in
+// benches or production paths.
 #pragma once
 
 #include "core/fleet_planner.hpp"

@@ -57,8 +57,6 @@ AttackAgent::AttackAgent(sim::World& world, const AttackParams& params,
 
 AttackAgent::~AttackAgent() {
   WRSN_OBS_ADD(kCsaReplans, double(plans_computed_));
-  WRSN_OBS_ADD(kCsaTravelMemoHits, double(memo_hits_));
-  WRSN_OBS_ADD(kCsaTravelMemoMisses, double(memo_misses_));
   WRSN_OBS_ADD(kMcSessions, double(sessions_ended_));
   WRSN_OBS_ADD(kMcSessionsSpoofed, double(spoofed_sessions_ended_));
 }
@@ -316,7 +314,7 @@ void AttackAgent::build_instance(TideInstance& instance) const {
   // Predicted key-node requests inside the lookahead horizon: lets the
   // planner reserve capacity for tight future windows.
   if (params_.spoof_mode == SpoofMode::NoService) {
-    prime_travel_matrix(instance);
+    instance.rebuild_travel_matrix();
     return;
   }
   for (const net::NodeId key : key_targets_) {
@@ -339,42 +337,7 @@ void AttackAgent::build_instance(TideInstance& instance) const {
     stop.utility = 0.0;
     instance.stops.push_back(stop);
   }
-  prime_travel_matrix(instance);
-}
-
-void AttackAgent::prime_travel_matrix(TideInstance& instance) const {
-  // memo_hits_/memo_misses_ are plain member tallies flushed once by the
-  // destructor: the memo lambda runs once per cell of every matrix row the
-  // plan fills (the rows of route stops), far too hot for a registry write
-  // per lookup.  The matrix keeps the lambda and calls it lazily, during
-  // this replan's plan.
-  if (memo_topology_version_ != world_.topology_version()) {
-    // Mobility moved nodes since the memo was filled: every cached pair
-    // distance is stale.
-    stop_pair_distance_.clear();
-    memo_topology_version_ = world_.topology_version();
-  }
-  if (!travel_matrix_) travel_matrix_ = std::make_shared<TravelMatrix>();
-  travel_matrix_->rebuild(
-      instance, [this](const Stop& a, const Stop& b) -> Meters {
-        if (a.node == net::kInvalidNode || b.node == net::kInvalidNode) {
-          return geom::distance(a.position, b.position);
-        }
-        const net::NodeId lo = std::min(a.node, b.node);
-        const net::NodeId hi = std::max(a.node, b.node);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(lo) << 32) | hi;
-        const auto [it, inserted] = stop_pair_distance_.try_emplace(key, 0.0);
-        if (inserted) {
-          ++memo_misses_;
-          it->second = geom::distance(a.position, b.position);
-        } else {
-          ++memo_hits_;
-        }
-        return it->second;
-      });
-  instance.set_travel_matrix(
-      std::shared_ptr<const TravelMatrix>(travel_matrix_));
+  instance.rebuild_travel_matrix();
 }
 
 void AttackAgent::replan() {

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -105,9 +104,9 @@ class AttackAgent {
   AttackAgent(const AttackAgent&) = delete;
   AttackAgent& operator=(const AttackAgent&) = delete;
 
-  /// Flushes the agent's accumulated tallies (replans, travel-memo hits,
-  /// session counts) to the installed obs registry in one shot — the
-  /// per-replan and per-session paths are too hot for a write each.
+  /// Flushes the agent's accumulated tallies (replans, session counts) to
+  /// the installed obs registry in one shot — the per-replan and
+  /// per-session paths are too hot for a write each.
   ~AttackAgent();
 
   /// Selects key targets from the current routing state, subscribes to world
@@ -165,12 +164,9 @@ class AttackAgent {
   void on_death(net::NodeId id);
 
   /// Builds the TIDE snapshot (pending requests + predicted key windows)
-  /// into `instance`, reusing its stop storage.
+  /// into `instance`, reusing its stop storage, and retargets the
+  /// instance's travel matrix at the new stops.
   void build_instance(TideInstance& instance) const;
-  /// Installs the instance's travel matrix — the agent-owned matrix arena
-  /// retargeted in place — whose rows, as the plan fills them, reuse
-  /// node-pair distances memoized across this agent's replans.
-  void prime_travel_matrix(TideInstance& instance) const;
   /// Replans and engages the next leg (idle vehicles only).
   void replan();
   void travel_to_node(net::NodeId id);
@@ -196,19 +192,11 @@ class AttackAgent {
   std::vector<Seconds> kill_schedule_;
   /// Keys already spoof-killed (their deaths are pre-counted predictively).
   std::unordered_set<net::NodeId> spoof_killed_;
-  /// Node-pair distances memoized across replans: consecutive TIDE
-  /// snapshots overlap heavily in stops (node positions only move on
-  /// mobility epochs), so the travel-matrix rows of each instance are filled
-  /// from here instead of recomputing sqrt per pair.  Keyed by packed
-  /// (min id, max id); invalidated wholesale whenever the world's topology
-  /// version moves (a mobility epoch changed positions).
-  mutable std::unordered_map<std::uint64_t, Meters> stop_pair_distance_;
-  mutable std::uint64_t memo_topology_version_ = 0;
-  /// Replan arenas: the instance snapshot, its travel matrix, and the plan
-  /// are rebuilt in place every replan, so steady-state replanning (stop
-  /// set previously seen) performs no heap allocation (sim_alloc_test).
+  /// Replan arenas: the instance snapshot (with the travel matrix it owns)
+  /// and the plan are rebuilt in place every replan, so steady-state
+  /// replanning (stop set previously seen) performs no heap allocation
+  /// (sim_alloc_test).
   TideInstance plan_instance_;
-  mutable std::shared_ptr<TravelMatrix> travel_matrix_;
   Plan plan_;
 
   State state_ = State::Idle;
@@ -235,8 +223,6 @@ class AttackAgent {
   // Observability tallies, flushed by the destructor.  The session pair
   // counts completed sessions (the *_sessions_ counters above tick at
   // session start, so an in-flight session at the horizon would skew them).
-  mutable std::uint64_t memo_hits_ = 0;
-  mutable std::uint64_t memo_misses_ = 0;
   std::uint64_t sessions_ended_ = 0;
   std::uint64_t spoofed_sessions_ended_ = 0;
 };

@@ -16,19 +16,16 @@ Seconds TideInstance::travel_time(geom::Vec2 from, geom::Vec2 to) const {
   return geom::distance(from, to) / speed;
 }
 
-TravelMatrix TravelMatrix::build(const TideInstance& instance,
-                                 const PairDistance& pair_distance) {
+TravelMatrix TravelMatrix::build(const TideInstance& instance) {
   TravelMatrix m;
-  m.rebuild(instance, pair_distance);
+  m.rebuild(instance);
   return m;
 }
 
-void TravelMatrix::rebuild(const TideInstance& instance,
-                           const PairDistance& pair_distance) {
+void TravelMatrix::rebuild(const TideInstance& instance) {
   n_ = instance.stops.size();
   stops_ = instance.stops.data();
   speed_ = instance.speed;
-  pair_distance_ = pair_distance;
   start_row_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     start_row_[i] =
@@ -42,45 +39,37 @@ const Seconds* TravelMatrix::fill_row(std::size_t i) const {
   if (pool_used_ == pool_.size()) pool_.emplace_back();
   std::vector<Seconds>& row = pool_[pool_used_++];
   row.resize(n_);
-  const Stop& a = stops_[i];
+  const geom::Vec2 a = stops_[i].position;
   for (std::size_t j = 0; j < n_; ++j) {
     if (const Seconds* filled = rows_[j]) {
       row[j] = filled[i];  // the pair's value, computed from the other end
       continue;
     }
-    const Meters d = j == i          ? 0.0
-                     : pair_distance_ ? pair_distance_(a, stops_[j])
-                                      : geom::distance(a.position,
-                                                       stops_[j].position);
-    row[j] = d / speed_;
+    row[j] = j == i ? 0.0 : geom::distance(a, stops_[j].position) / speed_;
   }
   rows_[i] = row.data();
   return row.data();
 }
 
 const TravelMatrix& TideInstance::travel_matrix() const {
-  if (!matrix_.matrix) {
-    matrix_.matrix =
-        std::make_shared<const TravelMatrix>(TravelMatrix::build(*this));
-  }
+  if (!matrix_.matrix) matrix_.matrix = TravelMatrix::build(*this);
   WRSN_REQUIRE(matrix_.matrix->covers(stops),
                "travel matrix does not cover the instance stops");
   return *matrix_.matrix;
 }
 
 void TideInstance::set_travel_matrix(TravelMatrix matrix) {
-  set_travel_matrix(std::make_shared<const TravelMatrix>(std::move(matrix)));
-}
-
-void TideInstance::set_travel_matrix(std::shared_ptr<const TravelMatrix> matrix) {
-  WRSN_REQUIRE(matrix != nullptr, "travel matrix must not be null");
-  WRSN_REQUIRE(matrix->covers(stops),
+  WRSN_REQUIRE(matrix.covers(stops),
                "travel matrix does not cover the instance stops");
   matrix_.matrix = std::move(matrix);
 }
 
-void TideInstance::validate() const {
-  if (speed <= 0.0) throw ConfigError("TIDE speed must be > 0");
+void TideInstance::rebuild_travel_matrix() {
+  if (!matrix_.matrix) matrix_.matrix.emplace();
+  matrix_.matrix->rebuild(*this);
+}
+
+void validate_stops(std::span<const Stop> stops) {
   for (const Stop& stop : stops) {
     if (stop.window_close < stop.window_open) {
       throw ConfigError("TIDE stop window closes before it opens");
@@ -92,6 +81,11 @@ void TideInstance::validate() const {
       throw ConfigError("TIDE stop has negative utility");
     }
   }
+}
+
+void TideInstance::validate() const {
+  if (speed <= 0.0) throw ConfigError("TIDE speed must be > 0");
+  validate_stops(stops);
 }
 
 std::optional<Plan> evaluate_order(const TideInstance& instance,

@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -64,12 +62,6 @@ struct Stop {
 /// that storage is unchanged (TideInstance::travel_matrix checks coverage).
 class TravelMatrix {
  public:
-  /// Supplies the straight-line distance for a stop pair; the orchestrator
-  /// injects a memoized version so node-pair distances survive across the
-  /// receding-horizon replans of overlapping stop sets.  Called when a row
-  /// is filled, so it must outlive the matrix's rows.
-  using PairDistance = std::function<Meters(const Stop&, const Stop&)>;
-
   TravelMatrix() = default;
   /// Move-only: row pointers point into this matrix's pool.
   TravelMatrix(TravelMatrix&&) noexcept = default;
@@ -77,16 +69,12 @@ class TravelMatrix {
   TravelMatrix(const TravelMatrix&) = delete;
   TravelMatrix& operator=(const TravelMatrix&) = delete;
 
-  /// A matrix over `instance`; `pair_distance` (optional) overrides how
-  /// stop-pair distances are obtained.  The start row is always computed
-  /// fresh (the charger moves between replans).
-  static TravelMatrix build(const TideInstance& instance,
-                            const PairDistance& pair_distance = nullptr);
+  /// A matrix over `instance`.  The start row is computed eagerly.
+  static TravelMatrix build(const TideInstance& instance);
 
   /// In-place variant of build(): retargets this matrix at `instance`,
   /// forgetting every row and keeping the row pool.
-  void rebuild(const TideInstance& instance,
-               const PairDistance& pair_distance = nullptr);
+  void rebuild(const TideInstance& instance);
 
   std::size_t size() const { return n_; }
   /// True when this matrix was built over this very stop storage.
@@ -112,7 +100,6 @@ class TravelMatrix {
   std::size_t n_ = 0;
   const Stop* stops_ = nullptr;
   MetersPerSecond speed_ = 0.0;
-  PairDistance pair_distance_;
   std::vector<Seconds> start_row_;
   /// Per stop, its row in the pool, or nullptr until filled.
   mutable std::vector<const Seconds*> rows_;
@@ -133,20 +120,20 @@ struct TideInstance {
   std::size_t key_count() const;
   /// Travel time between two stop positions at the instance speed.
   Seconds travel_time(geom::Vec2 from, geom::Vec2 to) const;
-  /// The cached travel-time matrix, built on first call (planners call this
-  /// once per plan).  Throws PreconditionError when the cached matrix no
+  /// The instance's travel-time matrix, built on first call (planners call
+  /// this once per plan).  Throws PreconditionError when the matrix no
   /// longer covers `stops` (stops were added or removed after it was
   /// built).  Not thread-safe: see TravelMatrix.
   const TravelMatrix& travel_matrix() const;
   /// Installs a pre-built matrix.  Must cover `stops`.
   void set_travel_matrix(TravelMatrix matrix);
-  /// Shares an externally owned matrix without copying it — the zero-alloc
-  /// replan path: the caller rebuild()s its arena matrix in place and
-  /// re-installs the same shared_ptr (a refcount bump, no allocation).
-  /// Must cover `stops`.
-  void set_travel_matrix(std::shared_ptr<const TravelMatrix> matrix);
-  /// Throws ConfigError on inconsistent data (closed-before-open windows,
-  /// non-positive speed, negative service times).
+  /// Retargets the instance's matrix at the current `stops` in place,
+  /// keeping its row pool — the zero-alloc replan path: callers refill
+  /// `stops` and call this, and a stop set of a previously seen size
+  /// allocates nothing.
+  void rebuild_travel_matrix();
+  /// Throws ConfigError on inconsistent data (non-positive speed, or a stop
+  /// that fails validate_stops).
   void validate() const;
 
  private:
@@ -155,7 +142,7 @@ struct TideInstance {
   /// copy must neither depend on the original nor share its matrix across
   /// threads.  A move keeps the matrix (the stop storage moves with it).
   struct MatrixSlot {
-    std::shared_ptr<const TravelMatrix> matrix;
+    std::optional<TravelMatrix> matrix;
     MatrixSlot() = default;
     MatrixSlot(const MatrixSlot&) {}
     MatrixSlot& operator=(const MatrixSlot&) {
@@ -167,6 +154,11 @@ struct TideInstance {
   };
   mutable MatrixSlot matrix_;
 };
+
+/// The per-stop checks shared by TideInstance::validate and
+/// FleetInstance::validate: throws ConfigError on a stop whose window
+/// closes before it opens, or with a negative service time or utility.
+void validate_stops(std::span<const Stop> stops);
 
 /// Feasibility tolerance on window-close comparisons [s]; shared by the
 /// evaluators and the planners' incremental insertion checks so a schedule

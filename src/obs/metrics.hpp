@@ -62,6 +62,8 @@ enum class Metric : std::uint16_t {
   kCsaInsertionsTried,
   kCsaCacheHits,
   kCsaCacheMisses,
+  /// No longer written (the pair-distance memo is gone, so both read 0);
+  /// kept while the benchmark harness still reads them.
   kCsaTravelMemoHits,
   kCsaTravelMemoMisses,
   kCsaPlanNs,  ///< timing histogram: one CSA plan() call

@@ -216,12 +216,6 @@ class World {
   std::size_t sink_connected_count() const;
   const WorldUpdateStats& update_stats() const { return update_stats_; }
 
-  /// Bumped on every adjacency change (mobility epochs); planners key
-  /// their node-pair distance memos on this so cached travel distances
-  /// never survive a position change.  Deaths don't move nodes and so
-  /// don't bump it.
-  std::uint64_t topology_version() const { return topology_version_; }
-
   /// Multiplier a planner applies to the node's charging utility under the
   /// k-coverage mode: 1 when disabled or the node has >= k alive coverers,
   /// ramping up to 1 + bonus for a completely uncovered node.  Identical
@@ -332,7 +326,9 @@ class World {
   /// One mobility epoch: interpolate every mobile node to `now`, rebuild
   /// the adjacency + coverage index in place, and push the new topology
   /// through the mode-dispatching routing/drain seam (Fast reschedules
-  /// only bitwise-changed drains; Reference resyncs everyone).
+  /// only bitwise-changed drains; Reference resyncs everyone).  Planners
+  /// read node positions afresh at every replan, so no planner state
+  /// needs invalidating here.
   void fire_mobility_epoch();
   /// Shared hardware-death path (background failure and injected fault):
   /// bricks the battery, retires the node, records the death, and reacts.
@@ -412,7 +408,6 @@ class World {
   std::vector<net::NodeId> dirty_ids_;
   MobilityModel mobility_;
   EventId mobility_event_ = kInvalidEvent;
-  std::uint64_t topology_version_ = 0;
   net::CoverageIndex coverage_;
   Meters coverage_radius_ = 0.0;
   WorldUpdateStats update_stats_;

@@ -11,6 +11,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/exact.hpp"
+#include "core/fleet_planner.hpp"
 #include "core/orchestrator.hpp"
 #include "core/planners.hpp"
 #include "core/reference_planner.hpp"
@@ -54,6 +55,32 @@ TEST(Tide, ValidateRejectsBadStops) {
   inst = simple_instance();
   inst.stops.push_back(make_stop({1, 0}, 0.0, 5.0, -1.0, 0.0, true));
   EXPECT_THROW(inst.validate(), ConfigError);
+  inst = simple_instance();
+  inst.stops.push_back(make_stop({1, 0}, 0.0, 5.0, 1.0, -2.0, false));
+  EXPECT_THROW(inst.validate(), ConfigError);
+  inst = simple_instance();
+  inst.stops.push_back(make_stop({1, 0}, 5.0, 5.0, 0.0, 0.0, true));
+  EXPECT_NO_THROW(inst.validate());
+}
+
+// The fleet pool goes through the same per-stop checks as a TIDE instance.
+TEST(Tide, FleetValidateRejectsBadInstances) {
+  FleetInstance fleet;
+  fleet.stops.push_back(make_stop({1, 0}, 0.0, 5.0, 1.0, 2.0, false));
+  EXPECT_THROW(fleet.validate(), ConfigError);  // no chargers
+  fleet.chargers.push_back(FleetCharger{});
+  EXPECT_NO_THROW(fleet.validate());
+  fleet.chargers.push_back(FleetCharger{});
+  fleet.chargers.back().speed = 0.0;
+  EXPECT_THROW(fleet.validate(), ConfigError);
+  fleet.chargers.pop_back();
+  for (const Stop& bad : {make_stop({1, 0}, 10.0, 5.0, 1.0, 0.0, true),
+                          make_stop({1, 0}, 0.0, 5.0, -1.0, 0.0, true),
+                          make_stop({1, 0}, 0.0, 5.0, 1.0, -2.0, false)}) {
+    FleetInstance with_bad = fleet;
+    with_bad.stops.push_back(bad);
+    EXPECT_THROW(with_bad.validate(), ConfigError);
+  }
 }
 
 TEST(Tide, EvaluateComputesArrivalsWaitsAndUtility) {
@@ -249,42 +276,30 @@ void expect_matrix_matches(const TravelMatrix& m, const TideInstance& inst) {
 }
 
 // Rows fill on demand, one at a time, in whatever order the planner asks
-// for them; each equals travel_time bit for bit with and without a
-// PairDistance hook.  The hook runs once per pair of distinct stops: a row
-// copies the cells it shares with rows filled before it.
+// for them; each equals travel_time bit for bit, and a row copies the cells
+// it shares with rows filled before it.
 TEST(TravelMatrix, LazyRowsInRandomOrderMatchTravelTime) {
   Rng gen(23);
   TideInstance inst = random_pool(gen, 4, 90);
   std::vector<std::size_t> order(inst.stops.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::size_t hook_calls = 0;
-  const TravelMatrix::PairDistance hook = [&](const Stop& a, const Stop& b) {
-    ++hook_calls;
-    return geom::distance(a.position, b.position);
-  };
-  for (const bool with_hook : {false, true}) {
-    gen.shuffle(order);
-    hook_calls = 0;
-    const TravelMatrix m =
-        TravelMatrix::build(inst, with_hook ? hook : nullptr);
-    EXPECT_EQ(m.rows_filled(), 0u);
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::size_t i = order[k];
-      const Seconds* row = m.row(i);
-      EXPECT_EQ(m.rows_filled(), k + 1);
-      EXPECT_EQ(m.row(i), row);  // a second read does not refill
-      for (std::size_t j = 0; j < inst.stops.size(); ++j) {
-        ASSERT_EQ(row[j], inst.travel_time(inst.stops[i].position,
-                                           inst.stops[j].position))
-            << (with_hook ? "hook " : "plain ") << i << "," << j;
-      }
+  gen.shuffle(order);
+  const TravelMatrix m = TravelMatrix::build(inst);
+  EXPECT_EQ(m.rows_filled(), 0u);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t i = order[k];
+    const Seconds* row = m.row(i);
+    EXPECT_EQ(m.rows_filled(), k + 1);
+    EXPECT_EQ(m.row(i), row);  // a second read does not refill
+    for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+      ASSERT_EQ(row[j], inst.travel_time(inst.stops[i].position,
+                                         inst.stops[j].position))
+          << i << "," << j;
     }
-    EXPECT_EQ(hook_calls,
-              with_hook ? order.size() * (order.size() - 1) / 2 : 0u);
-    for (std::size_t i = 0; i < inst.stops.size(); ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        ASSERT_EQ(m.between(i, j), m.between(j, i));
-      }
+  }
+  for (std::size_t i = 0; i < inst.stops.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      ASSERT_EQ(m.between(i, j), m.between(j, i));
     }
   }
 }
@@ -333,6 +348,28 @@ TEST(TravelMatrix, CsaPlanFillsOnlyRouteRows) {
   const TravelMatrix& m = inst.travel_matrix();
   EXPECT_GE(m.rows_filled(), plan.visits.size() - 1);
   EXPECT_LE(m.rows_filled(), plan.visits.size());
+}
+
+// rebuild_travel_matrix() retargets the instance's own matrix at refilled
+// stops (the replan path) and a move carries the matrix along.
+TEST(TravelMatrix, InstanceRebuildRetargetsItsOwnMatrix) {
+  Rng gen(47);
+  TideInstance inst = random_pool(gen, 3, 80);
+  inst.rebuild_travel_matrix();
+  const TravelMatrix* matrix = &inst.travel_matrix();
+  expect_matrix_matches(*matrix, inst);
+
+  const TideInstance other = random_pool(gen, 5, 120);
+  inst.start_position = other.start_position;
+  inst.stops = other.stops;
+  inst.rebuild_travel_matrix();
+  EXPECT_EQ(&inst.travel_matrix(), matrix);
+  EXPECT_EQ(inst.travel_matrix().rows_filled(), 0u);
+  expect_matrix_matches(inst.travel_matrix(), inst);
+
+  const TideInstance moved = std::move(inst);
+  EXPECT_EQ(moved.travel_matrix().rows_filled(), moved.stops.size());
+  expect_matrix_matches(moved.travel_matrix(), moved);
 }
 
 // Adding a stop after the matrix was built is caught instead of read out of

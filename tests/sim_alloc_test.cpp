@@ -182,7 +182,7 @@ TEST(PlannerAllocation, FleetReplanIsAllocationFreeAfterWarmup) {
 
   const csa::CooperativeFleetPlanner planner;
   csa::FleetPlan plan;
-  planner.plan_into(inst, plan);  // warmup: arenas + pair distance memo
+  planner.plan_into(inst, plan);  // warmup: arenas + matrix row pools
   const double warm_utility = plan.utility;
 
   g_allocations = 0;

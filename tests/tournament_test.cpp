@@ -87,6 +87,44 @@ TEST(StaticPolicyEquivalence, GoldenDigestsMatchPrePolicyCommit) {
 }
 
 // ---------------------------------------------------------------------------
+// Waypoint-mobility attack pin: the CI fuzz-smoke mobility family line.
+// Mobility epochs move nodes between replans, so this mission pins that the
+// attacker's travel times follow the moved positions.  Digests recorded
+// while the attacker still memoized node-pair distances across replans
+// (cleared on every mobility epoch); planning on fresh `distance / speed`
+// cells must reproduce them.
+// ---------------------------------------------------------------------------
+
+TEST(MobilityAttackPin, DigestsMatchPairMemoCommit) {
+  constexpr GoldenMission kMobility = {
+      "mode=attack;seed=4242;topology.node_count=36;"
+      "topology.region_size=240;topology.class_count=3;"
+      "topology.class_capacity_ratio=2;horizon=43200;"
+      "topology.battery_capacity=2500;world.sensing_power=0.05;"
+      "world.initial_level_min=0.4;world.initial_level_max=0.55;"
+      "world.patience=5400;mobility.fraction=0.2;mobility.interval=1800;"
+      "mobility.speed_max=2;world.emergency_enabled=true",
+      3440254527936789914ull, 9815486240952666811ull};
+  const auto [cfg, mode] =
+      analysis::resolve_overrides(analysis::parse_repro(kMobility.repro));
+  ASSERT_GT(cfg.world.mobility.fraction, 0.0);
+
+  const csa::CsaPlanner fast_planner;
+  analysis::ScenarioConfig fast_cfg = cfg;
+  fast_cfg.world.update_mode = sim::WorldUpdateMode::Fast;
+  EXPECT_EQ(analysis::digest_result(
+                analysis::run_mission(fast_cfg, mode, &fast_planner)),
+            kMobility.fast_digest);
+
+  const csa::reference::NaiveCsaPlanner ref_planner;
+  analysis::ScenarioConfig ref_cfg = cfg;
+  ref_cfg.world.update_mode = sim::WorldUpdateMode::Reference;
+  EXPECT_EQ(analysis::digest_result(
+                analysis::run_mission(ref_cfg, mode, &ref_planner)),
+            kMobility.reference_digest);
+}
+
+// ---------------------------------------------------------------------------
 // Tournament grid
 // ---------------------------------------------------------------------------
 
