@@ -15,14 +15,14 @@ namespace {
 
 /// Builds the fault injector for one mission (null when faults are off):
 /// compiles the schedule from its own fork of the scenario rng and wires
-/// the MC-level hooks to whichever agent drives the (possibly compromised)
-/// vehicle.  Fleet runs route MC faults to the compromised vehicle when
-/// present, else the first vehicle; `on_permanent_loss` (fleet runs only)
-/// is fired once after a permanent breakdown so survivors can adopt the
-/// victim's territory.
+/// the MC-level hooks to `vehicle`, the (possibly compromised) vehicle that
+/// MC faults hit.  `attacker` (null on benign runs) also takes the
+/// phase-noise fault; `on_permanent_loss` (fleet runs only) is fired once
+/// after a permanent breakdown so survivors can adopt the victim's
+/// territory.
 std::unique_ptr<fault::FaultInjector> arm_faults(
     const ScenarioConfig& config, sim::World& world, const Rng& rng,
-    mc::ChargerAgent* benign, csa::AttackAgent* attacker,
+    mc::VehicleAgent* vehicle, csa::AttackAgent* attacker,
     std::function<void()> on_permanent_loss = nullptr) {
   if (!config.faults.any()) return nullptr;
   fault::FaultPlan plan =
@@ -30,20 +30,15 @@ std::unique_ptr<fault::FaultInjector> arm_faults(
                                 world.network().size(), rng.fork("faults"));
   fault::FaultHooks hooks;
   hooks.mc_permanent_loss = std::move(on_permanent_loss);
+  hooks.mc_breakdown = [vehicle](double loss, bool permanent) {
+    vehicle->fault_breakdown(loss, permanent);
+  };
+  hooks.mc_repair = [vehicle] { vehicle->fault_repair(); };
+  // Phase noise degrades the spoofing payload; a benign fleet absorbs it.
   if (attacker != nullptr) {
-    hooks.mc_breakdown = [attacker](double loss, bool permanent) {
-      attacker->fault_breakdown(loss, permanent);
-    };
-    hooks.mc_repair = [attacker] { attacker->fault_repair(); };
     hooks.phase_noise = [attacker](double scale) {
       attacker->fault_phase_noise(scale);
     };
-  } else if (benign != nullptr) {
-    hooks.mc_breakdown = [benign](double loss, bool permanent) {
-      benign->fault_breakdown(loss, permanent);
-    };
-    hooks.mc_repair = [benign] { benign->fault_repair(); };
-    // Phase noise degrades the spoofing payload; a benign fleet absorbs it.
   }
   auto injector = std::make_unique<fault::FaultInjector>(
       world, std::move(plan), std::move(hooks), rng.fork("fault-exec"));
@@ -191,8 +186,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
   ScenarioResult result;
   result.node_count = world.network().size();
 
-  std::unique_ptr<mc::ChargerAgent> benign;
-  std::unique_ptr<csa::AttackAgent> attacker;
+  std::unique_ptr<mc::VehicleAgent> agent;
+  csa::AttackAgent* attacker = nullptr;
   const csa::CsaPlanner default_planner;
 
   if (mode == ChargerMode::Benign) {
@@ -200,18 +195,20 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
     // benign runs report comparable key-node survival numbers.
     result.keys = net::select_key_nodes(world.network(), world.loads(),
                                         config.attack.key_selection);
-    benign = std::make_unique<mc::ChargerAgent>(world, config.benign);
-    benign->start();
+    agent = std::make_unique<mc::ChargerAgent>(world, config.benign);
+    agent->start();
   } else {
-    attacker = std::make_unique<csa::AttackAgent>(
+    auto owned = std::make_unique<csa::AttackAgent>(
         world, config.attack, planner != nullptr ? *planner : default_planner,
         rng.fork("attack"), config.policy.attacker);
-    attacker->start();
+    attacker = owned.get();
+    agent = std::move(owned);
+    agent->start();
     result.keys = attacker->key_targets();
   }
 
   const std::unique_ptr<fault::FaultInjector> injector =
-      arm_faults(config, world, rng, benign.get(), attacker.get());
+      arm_faults(config, world, rng, agent.get(), attacker);
 
   simulator.run_until(config.horizon);
 
@@ -220,12 +217,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
   result.report = csa::build_report(world.network(), world.trace(),
                                     result.keys, result.detections);
   finish_result(result, world, simulator, injector.get());
-  if (mode == ChargerMode::Benign) {
-    result.ledger = benign->charger().ledger();
-  } else {
-    result.ledger = attacker->charger().ledger();
-    result.plans_computed = attacker->plans_computed();
-  }
+  result.ledger = agent->charger().ledger();
+  if (attacker != nullptr) result.plans_computed = attacker->plans_computed();
   result.fleet_ledger = result.ledger;
   result.trace = std::move(world.trace());
   return result;
@@ -252,10 +245,10 @@ ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
   ScenarioResult result;
   result.node_count = world.network().size();
 
-  std::vector<std::unique_ptr<mc::ChargerAgent>> benign_agents;
-  /// Benign agents by FLEET index (null at `compromised`), for the handoff.
-  std::vector<mc::ChargerAgent*> benign_by_index(fleet_size, nullptr);
-  std::unique_ptr<csa::AttackAgent> attacker;
+  /// The fleet by index; `attacker` aliases the compromised member.
+  std::vector<std::unique_ptr<mc::VehicleAgent>> agents;
+  agents.reserve(fleet_size);
+  csa::AttackAgent* attacker = nullptr;
   const csa::CsaPlanner default_planner;
 
   for (std::size_t k = 0; k < fleet_size; ++k) {
@@ -263,19 +256,18 @@ ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
       csa::AttackParams params = config.attack;
       params.charger.depot = depots[k];
       params.territory = cells[k];
-      attacker = std::make_unique<csa::AttackAgent>(
+      auto owned = std::make_unique<csa::AttackAgent>(
           world, params, planner != nullptr ? *planner : default_planner,
           rng.fork("attack-" + std::to_string(k)), config.policy.attacker);
-      attacker->start();
+      attacker = owned.get();
+      agents.push_back(std::move(owned));
     } else {
       mc::AgentParams params = config.benign;
       params.charger.depot = depots[k];
       params.territory = cells[k];
-      benign_agents.push_back(
-          std::make_unique<mc::ChargerAgent>(world, params));
-      benign_by_index[k] = benign_agents.back().get();
-      benign_agents.back()->start();
+      agents.push_back(std::make_unique<mc::ChargerAgent>(world, params));
     }
+    agents.back()->start();
   }
 
   if (attacker != nullptr) {
@@ -285,53 +277,46 @@ ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
                                         config.attack.key_selection);
   }
 
-  // Charger handoff: MC faults hit the compromised vehicle when present,
-  // else fleet member 0 (mirroring arm_faults's hook routing).  On a
-  // PERMANENT loss the victim's whole Voronoi cell — deliberately not
-  // filtered by the alive mask, so the adopted set never depends on
-  // sub-tolerance death-timing differences between world update modes; dead
-  // nodes are inert in a territory set — is redistributed to the survivors
-  // with the nearest depots (squared distance, ties to the lower fleet
-  // index, exactly mc::nearest_depot's rule) and each survivor replans.
+  // MC faults hit the compromised vehicle when present, else fleet member 0;
+  // the result's single-vehicle ledger is that vehicle's too.
+  const std::size_t victim = compromised < fleet_size ? compromised : 0;
+
+  // Charger handoff: on a PERMANENT loss the victim's whole Voronoi cell —
+  // deliberately not filtered by the alive mask, so the adopted set never
+  // depends on sub-tolerance death-timing differences between world update
+  // modes; dead nodes are inert in a territory set — is redistributed to
+  // the survivors with the nearest depots (squared distance, ties to the
+  // lower fleet index, exactly mc::nearest_depot's rule) and each survivor
+  // replans.
   std::function<void()> on_permanent_loss;
   if (fleet_size > 1) {
-    const std::size_t victim = compromised < fleet_size ? compromised : 0;
     std::vector<geom::Vec2> survivor_depots;
-    std::vector<std::size_t> survivor_ids;
+    std::vector<mc::VehicleAgent*> survivors;
     for (std::size_t k = 0; k < fleet_size; ++k) {
       if (k == victim) continue;
       survivor_depots.push_back(depots[k]);
-      survivor_ids.push_back(k);
+      survivors.push_back(agents[k].get());
     }
-    on_permanent_loss = [&world, victim, compromised,
-                         survivor_depots = std::move(survivor_depots),
-                         survivor_ids = std::move(survivor_ids),
-                         lost_cell = cells[victim], benign_by_index,
-                         attacker_ptr = attacker.get()] {
-      std::vector<std::vector<net::NodeId>> adopted(survivor_ids.size());
+    on_permanent_loss = [&world, survivor_depots = std::move(survivor_depots),
+                         survivors = std::move(survivors),
+                         lost_cell = cells[victim]] {
+      std::vector<std::vector<net::NodeId>> adopted(survivors.size());
       for (const net::NodeId id : lost_cell) {
         adopted[mc::nearest_depot(world.network().node(id).position,
                                   survivor_depots)]
             .push_back(id);
       }
-      for (std::size_t s = 0; s < survivor_ids.size(); ++s) {
-        if (adopted[s].empty()) continue;
-        const std::size_t k = survivor_ids[s];
-        if (k == compromised) {
-          attacker_ptr->adopt_territory(adopted[s]);
-        } else {
-          benign_by_index[k]->adopt_territory(adopted[s]);
-        }
+      for (std::size_t s = 0; s < survivors.size(); ++s) {
+        if (!adopted[s].empty()) survivors[s]->adopt_territory(adopted[s]);
       }
       WRSN_OBS_COUNT(kFleetHandoffs);
       WRSN_OBS_ADD(kFleetHandoffNodes, double(lost_cell.size()));
     };
   }
 
-  const std::unique_ptr<fault::FaultInjector> injector = arm_faults(
-      config, world, rng,
-      benign_agents.empty() ? nullptr : benign_agents.front().get(),
-      attacker.get(), std::move(on_permanent_loss));
+  const std::unique_ptr<fault::FaultInjector> injector =
+      arm_faults(config, world, rng, agents[victim].get(), attacker,
+                 std::move(on_permanent_loss));
 
   simulator.run_until(config.horizon);
 
@@ -340,19 +325,18 @@ ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
   result.report = csa::build_report(world.network(), world.trace(),
                                     result.keys, result.detections);
   finish_result(result, world, simulator, injector.get());
-  if (attacker != nullptr) {
-    result.ledger = attacker->charger().ledger();
-    result.plans_computed = attacker->plans_computed();
-  } else if (!benign_agents.empty()) {
-    result.ledger = benign_agents.front()->charger().ledger();
-  }
+  result.ledger = agents[victim]->charger().ledger();
+  if (attacker != nullptr) result.plans_computed = attacker->plans_computed();
+  // Benign members first, then the attacker: the fold order fixes the sums.
   const auto fold_ledger = [&result](const mc::EnergyLedger& l) {
     result.fleet_ledger.travel += l.travel;
     result.fleet_ledger.radiated_genuine += l.radiated_genuine;
     result.fleet_ledger.radiated_spoofed += l.radiated_spoofed;
     result.fleet_ledger.drawn_for_radiation += l.drawn_for_radiation;
   };
-  for (const auto& agent : benign_agents) fold_ledger(agent->charger().ledger());
+  for (const auto& agent : agents) {
+    if (agent.get() != attacker) fold_ledger(agent->charger().ledger());
+  }
   if (attacker != nullptr) fold_ledger(attacker->charger().ledger());
   result.trace = std::move(world.trace());
   return result;

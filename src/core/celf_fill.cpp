@@ -14,7 +14,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Candidate-pool size from which the batched position-major rescore pays
 /// for itself.  Below it the route rows' candidate cells are few enough to
 /// stay cache-resident and the plain lazy gathers win.  A work schedule only —
-/// selection (and the hit/miss tallies) are identical on both paths.
+/// selection (and the consult tally) are identical on both paths.
 constexpr std::size_t kBatchMin = 64;
 
 /// Column padding of the transposed rows: one cache line of doubles, so
@@ -24,24 +24,21 @@ constexpr std::size_t kColAlign = 8;
 }  // namespace
 
 void CelfFill::run(const TideInstance& instance, RouteState& route,
-                   std::uint64_t& insertions_tried, std::uint64_t& cache_hits,
+                   std::uint64_t& insertions_tried,
                    std::uint64_t& cache_misses) {
-  // Local inner-loop tallies: a write into the caller's accumulators per
+  // Local inner-loop tally: a write into the caller's accumulators per
   // scan step (let alone a registry write) would dominate the loop.
-  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   if (candidates_.size() < kBatchMin) {
-    run_lazy(route, hits, misses);
+    run_lazy(route, misses);
   } else {
     run_batch(instance, route, misses);
   }
-  cache_hits += hits;
   cache_misses += misses;
-  insertions_tried += misses;  // every miss scores one insertion
+  insertions_tried += misses;  // every consult scores one insertion
 }
 
-void CelfFill::run_lazy(RouteState& route, std::uint64_t& hits,
-                        std::uint64_t& misses) {
+void CelfFill::run_lazy(RouteState& route, std::uint64_t& misses) {
   // Utility-descending traversal order (ties: ascending stop index) is what
   // makes the CELF cutoff valid; it does not affect selection, which has
   // its own total-order tie-break below.
@@ -53,33 +50,24 @@ void CelfFill::run_lazy(RouteState& route, std::uint64_t& hits,
   while (true) {
     double best_score = -kInf;
     CelfCandidate* best = nullptr;
+    std::size_t best_pos = 0;
     for (CelfCandidate& c : candidates_) {
       if (c.inserted) continue;
       const double bound = c.utility;
       if (best != nullptr && bound < best_score) break;  // CELF cutoff
-      if (!c.scored || c.version != route.version()) {
-        ++misses;
-        const auto bi = route.best_insertion(c.stop);
-        c.scored = true;
-        c.version = route.version();
-        c.feasible = bi.has_value();
-        if (bi) {
-          c.pos = bi->first;
-          c.delta = bi->second;
-          c.score = bound / std::max(c.delta, 1.0);
-        }
-      } else {
-        ++hits;
-      }
-      if (!c.feasible) continue;
-      if (best == nullptr || c.score > best_score ||
-          (c.score == best_score && c.stop < best->stop)) {
+      ++misses;
+      const auto bi = route.best_insertion(c.stop);
+      if (!bi) continue;
+      const double score = bound / std::max(bi->second, 1.0);
+      if (best == nullptr || score > best_score ||
+          (score == best_score && c.stop < best->stop)) {
         best = &c;
-        best_score = c.score;
+        best_score = score;
+        best_pos = bi->first;
       }
     }
     if (best == nullptr) break;
-    route.insert(best->stop, best->pos);
+    route.insert(best->stop, best_pos);
     best->inserted = true;
   }
 }
@@ -103,11 +91,8 @@ void CelfFill::run_batch(const TideInstance& instance, RouteState& route,
                                             : a.stop < b.stop;
             });
 
-  // Every round starts with a committed insertion from the previous one (or
-  // the initial unscored pool), so every consult in run_lazy's scan would
-  // find a stale cache entry and rescore: a round here refreshes everything
-  // up front with the vector pass and counts one miss per consult, which is
-  // tally-identical (cache hits cannot occur across a version bump).
+  // A round refreshes every candidate up front with the vector pass, then
+  // counts one consult per candidate the scan reaches — run_lazy's tally.
   const SortKey* const keys = sort_keys_.data();
   while (true) {
     refresh_batch(route);

@@ -7,9 +7,8 @@
 // allocation-free after warmup:
 //
 //   - the candidate pool (built by the caller, sorted and scanned here with
-//     the version-stamped lazy rescoring and the CELF utility-bound cutoff
-//     of core/planners.cpp — selection is bit-identical to the classic
-//     full-rescore reference loop);
+//     the CELF utility-bound cutoff of core/planners.cpp — selection is
+//     bit-identical to the classic full-rescore reference loop);
 //   - a BATCHED POSITION-MAJOR rescore for pools large enough that the
 //     per-candidate travel-matrix gathers stop being cache-resident.  The
 //     route is frozen while a round rescores candidates, so the refresh
@@ -31,12 +30,10 @@
 // bit-identical to a scalar best_insertion scan.  The selection scan walks
 // 16-byte sort keys in the same utility-descending order and reads the
 // refresh outputs directly — same conditionals, same tie-breaks, and the
-// same tally counts (every batch-round consult is a cache miss, because a
-// round always follows a route-version bump).  The winning candidate's
-// insertion POSITION is then recovered with one scalar best_insertion call
-// per round, cross-checked against the batched delta — so plans and the
-// hit/miss observability counters are bit-identical to the plain
-// best_insertion path.
+// same consult count.  The winning candidate's insertion POSITION is then
+// recovered with one scalar best_insertion call per round, cross-checked
+// against the batched delta — so plans and the consult counter are
+// bit-identical to the plain best_insertion path.
 #pragma once
 
 #include <cstddef>
@@ -56,13 +53,7 @@ struct CelfCandidate {
   Seconds open = 0.0;         ///< cached stops[stop].window_open
   Seconds close_eps = 0.0;    ///< cached window_close + kWindowEpsilon
   Seconds service = 0.0;      ///< cached stops[stop].service_time
-  std::uint64_t version = 0;  ///< route version of the cached evaluation
-  bool scored = false;        ///< ever evaluated at all
-  bool feasible = false;
   bool inserted = false;
-  std::size_t pos = 0;
-  Seconds delta = 0.0;
-  double score = 0.0;
 };
 
 /// The fill engine.  Reuse one instance across plan() calls: every buffer
@@ -75,17 +66,17 @@ class CelfFill {
   std::vector<CelfCandidate>& candidates() { return candidates_; }
 
   /// Runs greedy rounds on `route` until no feasible candidate remains,
-  /// marking inserted candidates.  The tally accumulators mirror the
-  /// planner's observability counters: one miss per (re)scored insertion,
-  /// one hit per consult answered from a fresh cache entry; `tried` counts
-  /// misses too (every miss scores one insertion).
+  /// marking inserted candidates.  Each consult scores one insertion and
+  /// adds one to both `insertions_tried` and `cache_misses` (the planner's
+  /// observability counters).  Within a round each candidate is consulted
+  /// at most once, and every round ends in an insertion that moves the
+  /// route, so no score outlives its round.
   void run(const TideInstance& instance, RouteState& route,
-           std::uint64_t& insertions_tried, std::uint64_t& cache_hits,
-           std::uint64_t& cache_misses);
+           std::uint64_t& insertions_tried, std::uint64_t& cache_misses);
 
  private:
   /// The plain lazy scan over sorted candidate structs (small pools).
-  void run_lazy(RouteState& route, std::uint64_t& hits, std::uint64_t& misses);
+  void run_lazy(RouteState& route, std::uint64_t& misses);
   /// The batched path: position-major refresh + key-order selection scan.
   void run_batch(const TideInstance& instance, RouteState& route,
                  std::uint64_t& misses);

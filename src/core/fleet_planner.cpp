@@ -89,9 +89,8 @@ void fill_cell_celf(const TideInstance& instance, RouteState& route,
   // The fleet planner keeps no per-fill observability tallies; feed the
   // shared engine throwaway accumulators.
   std::uint64_t tried = 0;
-  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  fill.run(instance, route, tried, hits, misses);
+  fill.run(instance, route, tried, misses);
   for (const CelfCandidate& c : candidates) {
     if (!c.inserted) spill.push_back(c.stop);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -39,13 +40,12 @@ void AttackParams::validate() const {
 AttackAgent::AttackAgent(sim::World& world, const AttackParams& params,
                          const Planner& planner, Rng rng,
                          const policy::AttackPolicyParams& policy)
-    : world_(world),
+    : VehicleAgent(world, params.charger, params.territory,
+                   params.battery_reserve_fraction),
       params_(params),
       planner_(planner),
-      rng_(std::move(rng)),
-      mc_(params.charger) {
+      rng_(std::move(rng)) {
   params_.validate();
-  territory_.insert(params_.territory.begin(), params_.territory.end());
   emitter_.emplace(world_.charging_model(), params_.spoofing);
   // fork() is const — the policy stream never advances rng_, so the static
   // policy (which consumes nothing) leaves every existing draw sequence,
@@ -57,14 +57,10 @@ AttackAgent::AttackAgent(sim::World& world, const AttackParams& params,
 
 AttackAgent::~AttackAgent() {
   WRSN_OBS_ADD(kCsaReplans, double(plans_computed_));
-  WRSN_OBS_ADD(kMcSessions, double(sessions_ended_));
   WRSN_OBS_ADD(kMcSessionsSpoofed, double(spoofed_sessions_ended_));
 }
 
-void AttackAgent::start() {
-  WRSN_REQUIRE(!started_, "attack agent already started");
-  started_ = true;
-
+void AttackAgent::on_start() {
   // Survey the network once and lock in the key-target set (the attacker's
   // reconnaissance phase).  Candidates come ranked by structural impact;
   // the attacker keeps only targets it can actually exhaust before the
@@ -114,20 +110,9 @@ void AttackAgent::start() {
   key_set_.insert(key_targets_.begin(), key_targets_.end());
   log(LogLevel::Info) << "CSA attacker selected " << key_targets_.size()
                       << " key targets";
-
-  world_.add_request_listener([this](net::NodeId id) { on_request(id); });
-  world_.add_death_listener([this](net::NodeId id) { on_death(id); });
-  if (state_ == State::Idle) replan();
 }
 
-void AttackAgent::on_request(net::NodeId id) {
-  if (!in_territory(id)) return;
-  if (state_ == State::Idle) replan();
-  // Travel/charging legs finish first; the fresh request enters the next
-  // receding-horizon replan at the coming decision point.
-}
-
-void AttackAgent::on_death(net::NodeId id) {
+void AttackAgent::observe_death(net::NodeId id) {
   // Every death is visible in the base-station logs the attacker operates
   // under; deaths it did not schedule (hardware failures, starvation) join
   // the pacing window so kills keep hiding in the total rate.
@@ -136,62 +121,6 @@ void AttackAgent::on_death(net::NodeId id) {
     kill_schedule_.push_back(world_.simulator().now());
   }
   policy_->observe_death(world_.simulator().now(), own_kill);
-  if (id != target_) return;
-  const Seconds now = world_.simulator().now();
-  if (state_ == State::Traveling) {
-    mc_.halt(now);
-    ++event_version_;
-    target_ = net::kInvalidNode;
-    state_ = State::Idle;
-    replan();
-  } else if (state_ == State::Charging) {
-    ++event_version_;
-    end_session(event_version_);
-  }
-}
-
-void AttackAgent::fault_breakdown(double budget_loss, bool permanent) {
-  WRSN_REQUIRE(budget_loss >= 0.0 && budget_loss <= 1.0,
-               "budget_loss must be in [0, 1]");
-  if (broken_) {
-    permanently_broken_ = permanently_broken_ || permanent;
-    return;
-  }
-  broken_ = true;
-  permanently_broken_ = permanent;
-  const Seconds now = world_.simulator().now();
-  switch (state_) {
-    case State::Traveling:
-    case State::ToDepot:
-      mc_.halt(now);
-      ++event_version_;  // invalidate the in-flight arrival event
-      target_ = net::kInvalidNode;
-      break;
-    case State::Charging:
-      // Truncate the session cleanly (spoofed or genuine); replan at the
-      // session tail no-ops on broken_.
-      end_session(++event_version_);
-      break;
-    case State::DepotCharging:
-      ++event_version_;  // invalidate the depot-completion event
-      break;
-    case State::Idle:
-    case State::Broken:
-      break;
-  }
-  mc_.damage(budget_loss * mc_.params().battery_capacity);
-  state_ = State::Broken;
-  WRSN_LOG(Debug) << "attacker vehicle breakdown at t=" << now
-                  << (permanent ? " (permanent)" : "");
-}
-
-void AttackAgent::fault_repair() {
-  if (!broken_ || permanently_broken_) return;
-  broken_ = false;
-  state_ = State::Idle;
-  WRSN_LOG(Debug) << "attacker vehicle repaired at t="
-                  << world_.simulator().now();
-  if (started_) replan();
 }
 
 void AttackAgent::fault_phase_noise(double scale) {
@@ -199,15 +128,6 @@ void AttackAgent::fault_phase_noise(double scale) {
   wpt::SpoofingParams degraded = params_.spoofing;
   degraded.phase_jitter_sigma *= scale;
   emitter_.emplace(world_.charging_model(), degraded);
-}
-
-void AttackAgent::adopt_territory(std::span<const net::NodeId> nodes) {
-  // A whole-network agent (empty territory) already services everything.
-  if (territory_.empty()) return;
-  territory_.insert(nodes.begin(), nodes.end());
-  WRSN_LOG(Debug) << "attacker adopted " << nodes.size() << " nodes at t="
-                  << world_.simulator().now();
-  if (started_ && !broken_ && state_ == State::Idle) replan();
 }
 
 std::size_t AttackAgent::kill_window_count(Seconds death_at) const {
@@ -340,16 +260,8 @@ void AttackAgent::build_instance(TideInstance& instance) const {
   instance.rebuild_travel_matrix();
 }
 
-void AttackAgent::replan() {
-  if (broken_) return;  // a broken vehicle plans nothing until repaired
-  WRSN_ASSERT(state_ == State::Idle);
+void AttackAgent::plan_leg() {
   const Seconds now = world_.simulator().now();
-
-  if (mc_.battery_fraction() < params_.battery_reserve_fraction) {
-    go_to_depot();
-    return;
-  }
-
   build_instance(plan_instance_);
   if (plan_instance_.stops.empty()) return;  // nothing to do; requests wake us
 
@@ -391,106 +303,43 @@ void AttackAgent::replan() {
 void AttackAgent::on_wake(std::uint64_t version) {
   if (version != event_version_) return;
   if (state_ != State::Idle) return;
-  replan();
+  plan_next();
 }
 
-void AttackAgent::travel_to_node(net::NodeId id) {
-  const Seconds now = world_.simulator().now();
-  const geom::Vec2 node_pos = world_.network().node(id).position;
-  const geom::Vec2 pos = mc_.position(now);
-  const Meters dock = world_.charging_model().params().dock_distance;
-  const geom::Vec2 approach = (node_pos - pos).normalized();
-  const geom::Vec2 dock_pos =
-      geom::distance(pos, node_pos) > dock ? node_pos - approach * dock : pos;
-
-  target_ = id;
-  state_ = State::Traveling;
-  const Seconds arrival = mc_.begin_travel(now, dock_pos);
-  const std::uint64_t version = ++event_version_;
-  world_.simulator().schedule_at(arrival,
-                                 [this, version] { on_arrival(version); });
+bool AttackAgent::serves_on_arrival(net::NodeId id) const {
+  return world_.has_pending_request(id);
 }
 
-void AttackAgent::go_to_depot() {
+mc::VehicleAgent::Session AttackAgent::open_session(net::NodeId id,
+                                                    Joules deficit) {
   const Seconds now = world_.simulator().now();
-  state_ = State::ToDepot;
-  target_ = net::kInvalidNode;
-  const Seconds arrival = mc_.begin_travel(now, mc_.params().depot);
-  const std::uint64_t version = ++event_version_;
-  world_.simulator().schedule_at(arrival,
-                                 [this, version] { on_arrival(version); });
-}
-
-void AttackAgent::on_arrival(std::uint64_t version) {
-  if (version != event_version_) return;
-  const Seconds now = world_.simulator().now();
-  mc_.arrive(now);
-
-  if (state_ == State::ToDepot) {
-    state_ = State::DepotCharging;
-    const Seconds done = now + mc_.depot_recharge_time();
-    const std::uint64_t v = ++event_version_;
-    world_.simulator().schedule_at(done, [this, v] {
-      if (v != event_version_) return;
-      mc_.recharge_full();
-      state_ = State::Idle;
-      replan();
-    });
-    return;
-  }
-
-  WRSN_ASSERT(state_ == State::Traveling);
-  const net::NodeId node = target_;
-  if (!world_.alive(node) || !world_.has_pending_request(node)) {
-    target_ = net::kInvalidNode;
-    state_ = State::Idle;
-    replan();
-    return;
-  }
-  start_session(node);
-}
-
-void AttackAgent::start_session(net::NodeId id) {
-  const Seconds now = world_.simulator().now();
-  const Joules capacity = world_.network().node(id).battery_capacity;
-  const Joules believed_deficit =
-      std::max(0.0, world_.params().charge_target_fraction * capacity -
-                        world_.believed_level(id));
-  if (believed_deficit <= 0.0) {
-    world_.note_service_started(id);
-    world_.note_service_ended(id, 0.0, 0.0);
-    target_ = net::kInvalidNode;
-    state_ = State::Idle;
-    replan();
-    return;
-  }
-
   const Watts nominal = world_.nominal_dc_power();
+  Session session;
   // Spoofed sessions mimic a nominal-rate service; genuine ones stretch to
   // the realized rate (set below).
-  session_genuine_duration_ = world_.planned_session_duration(believed_deficit);
+  session.duration = world_.planned_session_duration(deficit);
   const policy::SpoofDecision decision = spoof_decision(id);
-  const bool spoof = decision.spoof;
-  if (spoof) {
+  session.spoofed = decision.spoof;
+  if (session.spoofed) {
     const Watts drain = world_.drain_rate(id);
     kill_schedule_.push_back(drain > 0.0
                                  ? now + world_.level(id) / drain
                                  : now + params_.pace_window);
     spoof_killed_.insert(id);
   }
+  const bool silent =
+      session.spoofed && params_.spoof_mode == SpoofMode::SilentSkip;
+  session.radiated =
+      silent ? 0.0 : world_.charging_model().params().source_power;
 
   const geom::Vec2 node_pos = world_.network().node(id).position;
   const geom::Vec2 charger_pos = mc_.position(now);
 
-  if (spoof && params_.spoof_mode == SpoofMode::SilentSkip) {
+  if (silent) {
     // Dock and pretend: no radiation at all.  Free energy for the attacker
     // but the carrier absence is what RSSI checks look for.
-    session_dc_ = 0.0;
-    session_rf_observed_ = 0.0;
-    session_probe_rf_ = 0.0;
-    session_probe_distance_ = 0.0;
     ++spoofed_sessions_;
-  } else if (spoof) {
+  } else if (session.spoofed) {
     // RSSI is measured at the node's communication antenna, offset from the
     // nulled rectenna; the emitter keeps the carrier there strong.
     const geom::Vec2 los = (node_pos - charger_pos).normalized();
@@ -509,7 +358,7 @@ void AttackAgent::start_session(net::NodeId id) {
                   decision.leak_ratio * expected_rate, &rng_,
                   &comm_antenna)
             : emitter_->configure(charger_pos, node_pos, &rng_);
-    session_dc_ = outcome.dc_at_target;
+    session.dc = outcome.dc_at_target;
 
     // Nearest alive neighbour probes the field too.
     const net::Network& network = world_.network();
@@ -523,7 +372,7 @@ void AttackAgent::start_session(net::NodeId id) {
         nearest_pos = network.node(nb).position;
       }
     }
-    session_probe_distance_ = nearest;
+    session.probe_distance = nearest;
 
     // Comm antenna and neighbour witness share one batched field pass.
     const bool has_witness = std::isfinite(nearest);
@@ -534,84 +383,24 @@ void AttackAgent::start_session(net::NodeId id) {
     const std::size_t probes = has_witness ? 2 : 1;
     emitter_->rf_at_probes(outcome, {probe_x, probes}, {probe_y, probes},
                            {probe_rf, probes}, {probe_im, probes});
-    session_rf_observed_ = probe_rf[0];
-    session_probe_rf_ = has_witness ? probe_rf[1] : 0.0;
+    session.rf_observed = probe_rf[0];
+    session.probe_rf = has_witness ? probe_rf[1] : 0.0;
     ++spoofed_sessions_;
   } else {
     const double gain = world_.draw_genuine_gain_factor();
-    session_dc_ = nominal * gain;
+    session.dc = nominal * gain;
     // Energy-target service: the realized rate stretches the stay.
-    session_genuine_duration_ = believed_deficit / session_dc_;
-    session_rf_observed_ = world_.charging_model().rf_at_distance(
+    session.duration = deficit / session.dc;
+    session.rf_observed = world_.charging_model().rf_at_distance(
         world_.charging_model().params().dock_distance);
-    const net::Network& network = world_.network();
-    Meters nearest = kInf;
-    for (const net::NodeId nb : network.neighbors(id)) {
-      if (!world_.alive(nb)) continue;
-      nearest = std::min(nearest, network.distance(id, nb));
-    }
-    session_probe_distance_ = nearest;
-    session_probe_rf_ = std::isfinite(nearest)
-                            ? world_.charging_model().rf_at_distance(nearest)
-                            : 0.0;
+    std::tie(session.probe_rf, session.probe_distance) = witness_probe(id);
     ++genuine_sessions_;
   }
-
-  state_ = State::Charging;
-  session_spoofed_ = spoof;
-  session_radiated_power_ =
-      (spoof && params_.spoof_mode == SpoofMode::SilentSkip)
-          ? 0.0
-          : world_.charging_model().params().source_power;
-  session_start_ = now;
-
-  world_.note_service_started(id);
-  world_.set_charge_input(id, session_dc_);
-
-  const std::uint64_t version = ++event_version_;
-  world_.simulator().schedule_at(now + session_genuine_duration_,
-                                 [this, version] { end_session(version); });
+  return session;
 }
 
-void AttackAgent::end_session(std::uint64_t version) {
-  if (version != event_version_) return;
-  WRSN_ASSERT(state_ == State::Charging);
-  const Seconds now = world_.simulator().now();
-  const net::NodeId node = target_;
-  const Seconds duration = now - session_start_;
-  const Joules expected = world_.expected_session_gain(duration);
-  const Joules delivered = session_dc_ * duration;
-
-  world_.set_charge_input(node, 0.0);
-  world_.note_service_ended(node, expected, delivered);
-
-  const Watts source = session_radiated_power_;
-  mc_.radiate(source, duration, session_spoofed_);
-
-  sim::SessionRecord record;
-  record.node = node;
-  record.start = session_start_;
-  record.end = now;
-  record.kind = session_spoofed_ ? sim::SessionKind::Spoofed
-                                 : sim::SessionKind::Genuine;
-  record.expected_gain = expected;
-  record.delivered = delivered;
-  record.rf_observed = session_rf_observed_;
-  record.rf_neighbor_probe = session_probe_rf_;
-  record.nearest_probe_distance = session_probe_distance_;
-  record.radiated = source * duration;
-  world_.trace().sessions.push_back(record);
-  ++sessions_ended_;
-  if (session_spoofed_) ++spoofed_sessions_ended_;
-  WRSN_OBS_OBSERVE(kMcSessionEnergyJ, delivered);
-
-  WRSN_LOG(Debug) << (session_spoofed_ ? "SPOOFED" : "genuine")
-                  << " session on node " << node << " delivered "
-                  << delivered << " J of " << expected << " J expected";
-
-  target_ = net::kInvalidNode;
-  state_ = State::Idle;
-  replan();
+void AttackAgent::close_session(sim::SessionRecord& record) {
+  if (record.kind == sim::SessionKind::Spoofed) ++spoofed_sessions_ended_;
 }
 
 }  // namespace wrsn::csa

@@ -42,19 +42,16 @@ void insert_keys_edf(const TideInstance& instance, RouteState& route,
 /// stop order with a strict >, which is exactly that tie-break, so neither
 /// the utility-sorted traversal here nor O(1) candidate removal (an
 /// `inserted` flag instead of the old O(n) mid-vector erase) can change the
-/// outcome.  The speedup comes from two places:
-///   1. utility is an upper bound on any stop's score (denominator >= 1),
-///      so a round may stop rescoring as soon as the remaining candidates'
-///      utilities fall below the incumbent best — with wide windows the
-///      winner's insertion is absorbed by waiting slack (delta = 0, score =
-///      utility) and a round rescoren only a handful of entries;
-///   2. each candidate caches its last best (pos, delta) stamped with the
-///      route version and is re-evaluated only when consulted stale.
-/// The round loop itself (and the leg-lane cache that keeps big pools'
-/// rescoring on L2-resident data) lives in the shared CelfFill engine.
+/// outcome.  The speedup comes from the CELF cutoff: utility is an upper
+/// bound on any stop's score (denominator >= 1), so a round may stop
+/// rescoring as soon as the remaining candidates' utilities fall below the
+/// incumbent best — with wide windows the winner's insertion is absorbed by
+/// waiting slack (delta = 0, score = utility) and a round rescores only a
+/// handful of entries.  The round loop itself (and the leg-lane cache that
+/// keeps big pools' rescoring on L2-resident data) lives in the shared
+/// CelfFill engine.
 void fill_utility_greedy(const TideInstance& instance, RouteState& route,
                          CelfFill& fill, std::uint64_t& insertions_tried,
-                         std::uint64_t& cache_hits_out,
                          std::uint64_t& cache_misses_out) {
   const TravelMatrix& tt = instance.travel_matrix();
   std::vector<CelfCandidate>& candidates = fill.candidates();
@@ -79,15 +76,13 @@ void fill_utility_greedy(const TideInstance& instance, RouteState& route,
     c.service = s.service_time;
     candidates.push_back(c);
   }
-  fill.run(instance, route, insertions_tried, cache_hits_out,
-           cache_misses_out);
+  fill.run(instance, route, insertions_tried, cache_misses_out);
 }
 
 }  // namespace
 
 CsaPlanner::~CsaPlanner() {
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions_tried_));
-  WRSN_OBS_ADD(kCsaCacheHits, double(cache_hits_));
   WRSN_OBS_ADD(kCsaCacheMisses, double(cache_misses_));
 }
 
@@ -106,7 +101,7 @@ void CsaPlanner::plan_into(const TideInstance& instance, Rng& rng,
   route_.reserve(instance.stops.size());
   insert_keys_edf(instance, route_, keys_, insertions_tried_);
   fill_utility_greedy(instance, route_, fill_, insertions_tried_,
-                      cache_hits_, cache_misses_);
+                      cache_misses_);
   route_.to_plan_into(out);
 }
 
@@ -118,12 +113,10 @@ Plan UtilityFirstPlanner::plan(const TideInstance& instance, Rng& rng) const {
   std::vector<std::size_t> keys;
   CelfFill fill;
   std::uint64_t insertions = 0;
-  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  fill_utility_greedy(instance, route, fill, insertions, hits, misses);
+  fill_utility_greedy(instance, route, fill, insertions, misses);
   insert_keys_edf(instance, route, keys, insertions);
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions));
-  WRSN_OBS_ADD(kCsaCacheHits, double(hits));
   WRSN_OBS_ADD(kCsaCacheMisses, double(misses));
   return route.to_plan();
 }

@@ -18,10 +18,9 @@
 // suffix array in core/route_state.hpp (so best_insertion is O(route)), all
 // travel times come from the rows of route stops in the instance's lazily
 // filled TravelMatrix (no sqrt in the inner loops, and no row for a stop
-// that never joins the route), and the greedy fill is lazy, CELF-style:
-// each remaining stop caches its best (position, delta) stamped with the
-// route version and a round stops rescoring once the remaining utilities
-// (an upper bound on the cost-benefit score) drop below the incumbent.
+// that never joins the route), and the greedy fill is lazy, CELF-style: a
+// round stops rescoring once the remaining utilities (an upper bound on the
+// cost-benefit score) drop below the incumbent.
 // Plans are bit-identical to the retained naive implementation
 // (core/reference_planner.hpp), which the plan-equivalence property test
 // enforces on every run.
@@ -65,7 +64,7 @@ class Planner {
 class CsaPlanner final : public Planner {
  public:
   /// Flushes the accumulated planning tallies (insertions tried, candidate
-  /// cache hits/misses) to the installed obs registry in one shot — plan()
+  /// rescores) to the installed obs registry in one shot — plan()
   /// runs every replan, too often for registry writes per call.
   ~CsaPlanner() override;
   std::string_view name() const override { return "CSA"; }
@@ -83,7 +82,6 @@ class CsaPlanner final : public Planner {
   mutable std::vector<std::size_t> keys_;
   mutable CelfFill fill_;
   mutable std::uint64_t insertions_tried_ = 0;
-  mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 };
 

@@ -180,7 +180,6 @@ void RouteState::rebuild() {
     interior =
         std::min(std::max(wait + margin, kWindowEpsilon), wait + interior);
   }
-  ++version_;
 }
 
 }  // namespace wrsn::csa

@@ -51,8 +51,7 @@ class RouteState {
   explicit RouteState(const TideInstance& instance);
 
   /// Rebinds to `instance` and resets to the empty route, KEEPING the
-  /// existing array capacity — the zero-alloc replan path.  The version
-  /// counter keeps counting (it only ever needs to differ between commits).
+  /// existing array capacity — the zero-alloc replan path.
   void bind(const TideInstance& instance);
   /// Grows every internal array's capacity to hold a route of `stops` stops
   /// so later inserts cannot reallocate.
@@ -62,10 +61,6 @@ class RouteState {
   Seconds completion() const {
     return depart_.empty() ? inst_->start_time : depart_.back();
   }
-  /// Bumped on every committed insertion; lets callers cache per-stop
-  /// best-insertion results and detect staleness (the lazy greedy fill).
-  std::uint64_t version() const { return version_; }
-
   /// Completion-time increase if `stop` were inserted at `pos`;
   /// nullopt when any window (the stop's or a downstream one) would break.
   /// O(1): the downstream check is `delay <= slack_[pos]`.
@@ -108,7 +103,6 @@ class RouteState {
   std::vector<Seconds> slack_;
   /// Suffix sums of waiting time; size order_.size() + 1, last entry 0.
   std::vector<Seconds> waitsum_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace wrsn::csa

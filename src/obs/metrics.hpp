@@ -60,7 +60,10 @@ enum class Metric : std::uint16_t {
   // CSA planner (src/core/planners.cpp, src/core/orchestrator.cpp).
   kCsaReplans,
   kCsaInsertionsTried,
+  /// No longer written (the CELF fill keeps no score across rounds, so it
+  /// reads 0); kept while the benchmark harness still reads it.
   kCsaCacheHits,
+  /// Candidate rescores of the CELF fill (one best_insertion each).
   kCsaCacheMisses,
   /// No longer written (the pair-distance memo is gone, so both read 0);
   /// kept while the benchmark harness still reads them.

@@ -7,11 +7,14 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "analysis/fuzz.hpp"
 #include "analysis/scenario.hpp"
 #include "common/check.hpp"
+#include "core/orchestrator.hpp"
+#include "core/planners.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
 #include "mc/agent.hpp"
@@ -182,62 +185,102 @@ TEST(FaultPlan, PermanentOnlyPlanHasOneInfiniteOutage) {
 // Agent breakdown lifecycle (direct, no scenario layer)
 // ---------------------------------------------------------------------------
 
-TEST(FaultAgent, BreakdownHaltsAndRepairResumesService) {
-  std::vector<net::SensorSpec> specs(1);
-  specs[0].id = 0;
-  specs[0].position = {5.0, 0.0};
-  specs[0].data_rate_bps = 1'000.0;
-  specs[0].battery_capacity = 1'000.0;
-  net::Network network(std::move(specs), {0.0, 0.0}, 10.0);
+// Both agents share one vehicle state machine (mc::VehicleAgent); each
+// lifecycle test drives it through the benign service and the attacker.
+// The one node is no cut vertex, so the attacker selects no key target and
+// serves it genuinely, like the benign service.
 
-  sim::WorldParams wp;
-  wp.drain.sensing_power = 0.05;
-  sim::Simulator sim;
-  sim::World world(sim, std::move(network), wp, Rng(11));
-  mc::AgentParams ap;
+// Unscoped, so the test names end in /0 (ChargerAgent) and /1 (AttackAgent)
+// both in gtest and in ctest.
+enum VehicleKind { kChargerAgent, kAttackAgent };
+
+std::unique_ptr<mc::VehicleAgent> make_vehicle(VehicleKind kind,
+                                               sim::World& world,
+                                               const csa::Planner& planner) {
+  if (kind == kChargerAgent) {
+    mc::AgentParams ap;
+    ap.charger.depot = {0.0, 0.0};
+    return std::make_unique<mc::ChargerAgent>(world, ap);
+  }
+  csa::AttackParams ap;
   ap.charger.depot = {0.0, 0.0};
-  mc::ChargerAgent agent(world, ap);
-  agent.start();
-
-  // Break the vehicle early (whatever state it is in — idle, traveling, or
-  // mid-session), repair it two hours later; service must resume and keep
-  // the node alive to the horizon.
-  sim.schedule_at(4'000.0,
-                  [&] { agent.fault_breakdown(0.25, /*permanent=*/false); });
-  sim.schedule_at(11'200.0, [&] { agent.fault_repair(); });
-  sim.run_until(100'000.0);
-
-  EXPECT_FALSE(agent.broken());
-  EXPECT_TRUE(world.alive(0));
-  EXPECT_GT(agent.sessions_completed(), 0u);
+  return std::make_unique<csa::AttackAgent>(world, ap, planner, Rng(5));
 }
 
-TEST(FaultAgent, PermanentBreakdownNeverRepairs) {
-  std::vector<net::SensorSpec> specs(1);
-  specs[0].id = 0;
-  specs[0].position = {5.0, 0.0};
-  specs[0].data_rate_bps = 1'000.0;
-  specs[0].battery_capacity = 1'000.0;
-  net::Network network(std::move(specs), {0.0, 0.0}, 10.0);
-
-  sim::WorldParams wp;
-  wp.drain.sensing_power = 0.05;
+/// One sensor 5 m from the sink, draining fast enough to need service.
+struct OneNodeWorld {
+  explicit OneNodeWorld(std::uint64_t seed)
+      : world(sim, network(), params(), Rng(seed)) {}
+  static net::Network network() {
+    std::vector<net::SensorSpec> specs(1);
+    specs[0].id = 0;
+    specs[0].position = {5.0, 0.0};
+    specs[0].data_rate_bps = 1'000.0;
+    specs[0].battery_capacity = 1'000.0;
+    return net::Network(std::move(specs), {0.0, 0.0}, 10.0);
+  }
+  static sim::WorldParams params() {
+    sim::WorldParams wp;
+    wp.drain.sensing_power = 0.05;
+    return wp;
+  }
   sim::Simulator sim;
-  sim::World world(sim, std::move(network), wp, Rng(12));
-  mc::AgentParams ap;
-  ap.charger.depot = {0.0, 0.0};
-  mc::ChargerAgent agent(world, ap);
+  sim::World world;
+};
+
+class FaultAgent : public ::testing::TestWithParam<VehicleKind> {};
+
+INSTANTIATE_TEST_SUITE_P(Vehicles, FaultAgent,
+                         ::testing::Values(kChargerAgent, kAttackAgent));
+
+TEST_P(FaultAgent, BreakdownHaltsAndRepairResumesService) {
+  OneNodeWorld w(11);
+  const csa::CsaPlanner planner;
+  const auto vehicle = make_vehicle(GetParam(), w.world, planner);
+  mc::VehicleAgent& agent = *vehicle;
   agent.start();
 
-  sim.schedule_at(2'000.0,
-                  [&] { agent.fault_breakdown(0.1, /*permanent=*/true); });
-  sim.schedule_at(3'000.0, [&] { agent.fault_repair(); });  // must no-op
-  sim.run_until(100'000.0);
+  // Break the vehicle just before the node's first request (t ~ 12160 s)
+  // and repair it an hour later.  The request waits out the outage, so
+  // only the repair itself can restart service: it must, promptly, and keep
+  // the node alive to the horizon.
+  w.sim.schedule_at(12'000.0,
+                    [&] { agent.fault_breakdown(0.25, /*permanent=*/false); });
+  w.sim.schedule_at(15'600.0, [&] { agent.fault_repair(); });
+  w.sim.run_until(100'000.0);
+
+  EXPECT_FALSE(agent.broken());
+  EXPECT_TRUE(w.world.alive(0));
+  const auto& sessions = w.world.trace().sessions;
+  ASSERT_FALSE(w.world.trace().requests.empty());
+  EXPECT_GT(w.world.trace().requests.front().time, 12'000.0);
+  EXPECT_TRUE(std::any_of(sessions.begin(), sessions.end(), [](const auto& s) {
+    return s.start >= 15'600.0 && s.start < 16'200.0;
+  })) << "service did not resume on repair";
+  // The breakdown drained a quarter of the vehicle's battery.
+  EXPECT_LE(agent.charger().battery_level(),
+            0.75 * agent.charger().params().battery_capacity);
+}
+
+TEST_P(FaultAgent, PermanentBreakdownNeverRepairs) {
+  OneNodeWorld w(12);
+  const csa::CsaPlanner planner;
+  const auto vehicle = make_vehicle(GetParam(), w.world, planner);
+  mc::VehicleAgent& agent = *vehicle;
+  agent.start();
+
+  w.sim.schedule_at(2'000.0,
+                    [&] { agent.fault_breakdown(0.1, /*permanent=*/true); });
+  w.sim.schedule_at(3'000.0, [&] { agent.fault_repair(); });  // must no-op
+  w.sim.run_until(100'000.0);
 
   EXPECT_TRUE(agent.broken());
   // Unserved, the node exhausts; the simulation still terminates cleanly.
-  EXPECT_FALSE(world.alive(0));
-  EXPECT_EQ(world.trace().deaths.size(), 1u);
+  EXPECT_FALSE(w.world.alive(0));
+  EXPECT_EQ(w.world.trace().deaths.size(), 1u);
+  for (const auto& s : w.world.trace().sessions) {
+    EXPECT_LE(s.start, 2'000.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

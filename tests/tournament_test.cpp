@@ -9,6 +9,7 @@
 #include "analysis/scenario.hpp"
 #include "analysis/tournament.hpp"
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 #include "core/planners.hpp"
 #include "core/reference_planner.hpp"
 
@@ -122,6 +123,82 @@ TEST(MobilityAttackPin, DigestsMatchPairMemoCommit) {
   EXPECT_EQ(analysis::digest_result(
                 analysis::run_mission(ref_cfg, mode, &ref_planner)),
             kMobility.reference_digest);
+}
+
+// ---------------------------------------------------------------------------
+// Agent-path pins: vehicle paths no golden above covers (the benign Tour
+// wake-up under breakdowns and repairs, a fleet territory handoff after a
+// permanent loss, and the silent-skip payload).  digest_result skips the
+// witness-probe fields and the expected gain, which is exactly what the
+// probe timing (benign at session end, attacker at session start) moves,
+// so each pin also folds every SessionRecord field; node bursts kill
+// neighbours mid-session, so moving either probe instant changes the pin.
+// Digests recorded before the benign and attack agents shared one vehicle
+// state machine.
+// ---------------------------------------------------------------------------
+
+std::uint64_t pin_digest(const analysis::ScenarioResult& result) {
+  Fnv fnv;
+  fnv.mix(analysis::digest_result(result));
+  for (const sim::SessionRecord& s : result.trace.sessions) {
+    fnv.mix(std::uint64_t{s.node});
+    fnv.mix(s.start);
+    fnv.mix(s.end);
+    fnv.mix(std::uint64_t(s.kind));
+    fnv.mix(s.expected_gain);
+    fnv.mix(s.delivered);
+    fnv.mix(s.rf_observed);
+    fnv.mix(s.rf_neighbor_probe);
+    fnv.mix(s.nearest_probe_distance);
+    fnv.mix(s.radiated);
+  }
+  fnv.mix(result.events_executed);
+  return fnv.hash();
+}
+
+constexpr const char* kPinBase =
+    "seed=75;topology.node_count=36;topology.region_size=240;"
+    "horizon=43200;topology.battery_capacity=2500;world.sensing_power=0.05;"
+    "world.initial_level_min=0.4;world.initial_level_max=0.55;"
+    "world.patience=5400;attack.key_count=6;";
+
+constexpr GoldenMission kAgentPins[] = {
+    // benign Tour policy under breakdowns, repairs and a final permanent loss
+    {"mode=benign;benign.policy=tour;faults.mc_breakdown_mtbf=9000;"
+     "faults.mc_repair_mean=1800;faults.mc_permanent_at=36000;"
+     "faults.node_burst_mtbf=2000;faults.node_burst_size=2",
+     11021518276491975701ull, 6148604243902560599ull},
+    // benign fleet: a permanent loss hands member 0's cell to the survivors
+    {"mode=benign;fleet.size=3;faults.mc_permanent_at=10000;"
+     "faults.node_burst_mtbf=4000;faults.node_burst_size=2",
+     10398954296837889690ull, 907525730547022814ull},
+    // attack with the naive silent-skip payload
+    {"mode=attack;attack.spoof_mode=silent-skip;"
+     "faults.node_burst_mtbf=2000;faults.node_burst_size=2",
+     11762139453675895206ull, 14687616394070616080ull},
+};
+
+TEST(AgentPathPin, DigestsMatchPreSharedVehicleCommit) {
+  const csa::CsaPlanner fast_planner;
+  const csa::reference::NaiveCsaPlanner ref_planner;
+  for (const GoldenMission& pin : kAgentPins) {
+    const std::string repro = std::string(kPinBase) + pin.repro;
+    const auto [cfg, mode] =
+        analysis::resolve_overrides(analysis::parse_repro(repro));
+
+    analysis::ScenarioConfig fast_cfg = cfg;
+    fast_cfg.world.update_mode = sim::WorldUpdateMode::Fast;
+    const analysis::ScenarioResult fast =
+        analysis::run_mission(fast_cfg, mode, &fast_planner);
+    EXPECT_FALSE(fast.trace.sessions.empty()) << repro;
+    EXPECT_EQ(pin_digest(fast), pin.fast_digest) << "Fast: " << repro;
+
+    analysis::ScenarioConfig ref_cfg = cfg;
+    ref_cfg.world.update_mode = sim::WorldUpdateMode::Reference;
+    EXPECT_EQ(pin_digest(analysis::run_mission(ref_cfg, mode, &ref_planner)),
+              pin.reference_digest)
+        << "Reference: " << repro;
+  }
 }
 
 // ---------------------------------------------------------------------------
